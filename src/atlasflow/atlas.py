@@ -585,15 +585,19 @@ def save(model: AtlasModel, path) -> None:
         ],
     }
     with open(path, "w") as fh:
-        json.dump(payload, fh)
+        fh.write(json.dumps(payload))
 
 
 def load(path) -> AtlasModel:
     try:
         with open(path) as fh:
             payload = json.load(fh)
+    except OSError as exc:
+        raise CheckpointError(f"{path}: cannot read checkpoint: {exc.strerror}") from exc
     except json.JSONDecodeError as exc:
         raise CheckpointError(f"{path}: parse error at byte {exc.pos}: {exc.msg}") from exc
+    except UnicodeDecodeError as exc:
+        raise CheckpointError(f"{path}: not UTF-8 text at byte {exc.start}") from exc
     if not isinstance(payload, dict) or "format_version" not in payload:
         raise CheckpointError(f"{path}: not an atlas checkpoint")
     version = payload["format_version"]

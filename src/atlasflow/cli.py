@@ -3,7 +3,9 @@
 Subcommands: synth, cover, train, sample, density, eval-boundary,
 compare-single.  Exit codes: 2 configuration error (incl. unknown manifold /
 bad config file), 3 degenerate lens, 4 training divergence, 5 unreadable or
-version-mismatched checkpoint, 6 chart-label mismatch between checkpoints.
+version-mismatched checkpoint, 6 chart-label mismatch between checkpoints, 7
+unusable cover (unreadable or malformed cover file, or a cover that leaves
+points uncovered).
 
 Config precedence: command-line flags override the --config JSON file, which
 overrides the preset defaults (torus values unless --preset trefoil).
@@ -25,6 +27,7 @@ from . import flow as fl
 from .errors import (
     CheckpointError,
     ConfigError,
+    CoverError,
     DegenerateLensError,
     DivergenceError,
     LabelMismatchError,
@@ -36,6 +39,7 @@ _EXIT_CODES = [
     (DivergenceError, 4),
     (CheckpointError, 5),
     (LabelMismatchError, 6),
+    (CoverError, 7),
 ]
 
 _CONFIG_KEYS = {

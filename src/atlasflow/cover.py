@@ -14,6 +14,8 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
 from .errors import CoverError, DegenerateLensError
@@ -75,6 +77,9 @@ class ChartCover:
     def validate(self) -> None:
         if self.n_charts == 0:
             raise CoverError("cover has no charts")
+        for k, chart in enumerate(self.charts):
+            if chart.size and (chart.min() < 0 or chart.max() >= self.n_points):
+                raise CoverError(f"chart {k} indexes a point outside 0..{self.n_points - 1}")
         m = self._compute_multiplicity()
         if np.any(m < 1):
             missing = int(np.flatnonzero(m < 1)[0])
@@ -97,9 +102,6 @@ class RefinedPartition:
     @property
     def n_cells(self) -> int:
         return len(self.cells)
-
-    def nu_values(self) -> np.ndarray:
-        return np.array([c[3] for c in self.cells])
 
 
 def pca_lens(points: np.ndarray) -> np.ndarray:
@@ -144,22 +146,6 @@ def build_intervals(lens: np.ndarray, n_cubes: int, perc_overlap: float) -> list
     return [(edges[j] - half, edges[j + 1] + half) for j in range(n_cubes)]
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, i: int) -> int:
-        while self.parent[i] != i:
-            self.parent[i] = self.parent[self.parent[i]]
-            i = self.parent[i]
-        return i
-
-    def union(self, i: int, j: int) -> None:
-        ri, rj = self.find(i), self.find(j)
-        if ri != rj:
-            self.parent[max(ri, rj)] = min(ri, rj)
-
-
 def single_linkage(points: np.ndarray, threshold: float) -> list[np.ndarray]:
     """Connected components of the <=threshold pair graph (single-linkage cut).
 
@@ -169,26 +155,22 @@ def single_linkage(points: np.ndarray, threshold: float) -> list[np.ndarray]:
     n = points.shape[0]
     if n == 0:
         return []
-    uf = _UnionFind(n)
-    tree = cKDTree(points)
-    for i, j in tree.query_pairs(r=threshold):
-        uf.union(i, j)
-    roots: dict[int, list[int]] = {}
-    for i in range(n):
-        roots.setdefault(uf.find(i), []).append(i)
-    clusters = [np.array(sorted(v), dtype=int) for v in roots.values()]
-    clusters.sort(key=lambda c: int(c[0]))
-    return clusters
+    pairs = cKDTree(points).query_pairs(r=threshold, output_type="ndarray")
+    graph = coo_matrix((np.ones(len(pairs), dtype=bool), (pairs[:, 0], pairs[:, 1])), shape=(n, n))
+    n_clusters, labels = connected_components(graph, directed=False)
+    first = np.full(n_clusters, n)
+    np.minimum.at(first, labels, np.arange(n))
+    rank = np.empty(n_clusters, dtype=int)
+    rank[np.argsort(first)] = np.arange(n_clusters)
+    labels = rank[labels]
+    order = np.argsort(labels, kind="stable")
+    return np.split(order, np.cumsum(np.bincount(labels))[:-1])
 
 
-def _nerve_edges(charts: list[np.ndarray]) -> set[tuple[int, int]]:
-    sets = [set(c.tolist()) for c in charts]
-    edges = set()
-    for i in range(len(charts)):
-        for j in range(i + 1, len(charts)):
-            if sets[i] & sets[j]:
-                edges.add((i, j))
-    return edges
+def _nerve_edges(mask: np.ndarray) -> set[tuple[int, int]]:
+    """Pairs i < j of charts (rows of an (L, N) membership mask) sharing a point."""
+    shared = np.triu(mask.astype(float) @ mask.T > 0, k=1)  # float: the product runs in BLAS
+    return {(int(i), int(j)) for i, j in zip(*np.nonzero(shared))}
 
 
 def mapper_cover(points: np.ndarray, config: MapperConfig, n_latent: int = 2) -> ChartCover:
@@ -212,78 +194,75 @@ def mapper_cover(points: np.ndarray, config: MapperConfig, n_latent: int = 2) ->
     if not charts:
         raise CoverError("Mapper produced no charts")
 
-    charts = _merge_small_charts(charts, points, min_size=n_latent + 2)
-    cover = ChartCover(n_points=n, charts=charts, nerve_edges=_nerve_edges(charts))
+    mask = _merge_small_charts(ChartCover(n, charts).membership_mask(), points, min_size=n_latent + 2)
+    cover = ChartCover(n_points=n, charts=[np.flatnonzero(row) for row in mask], nerve_edges=_nerve_edges(mask))
     cover.validate()
     return cover
 
 
-def _merge_small_charts(charts: list[np.ndarray], points: np.ndarray, min_size: int) -> list[np.ndarray]:
-    charts = [np.array(sorted(set(c.tolist())), dtype=int) for c in charts]
-    while len(charts) > 1:
-        sizes = [c.size for c in charts]
-        small = [k for k, sz in enumerate(sizes) if sz < min_size]
-        if not small:
+def _merge_small_charts(mask: np.ndarray, points: np.ndarray, min_size: int) -> np.ndarray:
+    """Fold each chart below ``min_size`` into its nearest-centroid neighbour.
+
+    ``mask`` is the (L, N) membership matrix.  The smallest chart goes first
+    (ties to the lowest id); its target is the nerve neighbour, or failing
+    any, the other chart, with the nearest centroid (ties to the lowest id).
+    """
+    while mask.shape[0] > 1:
+        sizes = mask.sum(axis=1)
+        small = np.flatnonzero(sizes < min_size)
+        if small.size == 0:
             break
-        k = min(small, key=lambda i: (sizes[i], i))
-        centroid = points[charts[k]].mean(axis=0)
-        members = set(charts[k].tolist())
-        neighbors = [j for j in range(len(charts)) if j != k and members & set(charts[j].tolist())]
-        candidates = neighbors if neighbors else [j for j in range(len(charts)) if j != k]
-        target = min(
-            candidates,
-            key=lambda j: (float(np.linalg.norm(points[charts[j]].mean(axis=0) - centroid)), j),
-        )
-        merged = np.array(sorted(members | set(charts[target].tolist())), dtype=int)
-        charts[target] = merged
-        del charts[k]
-    return charts
+        k = small[np.argmin(sizes[small])]
+        others = np.delete(np.arange(mask.shape[0]), k)
+        neighbors = others[(mask[others] & mask[k]).any(axis=1)]
+        candidates = neighbors if neighbors.size else others
+        centroid = points[mask[k]].mean(axis=0)
+        dist = [np.linalg.norm(points[mask[j]].mean(axis=0) - centroid) for j in candidates]
+        mask[candidates[np.argmin(dist)]] |= mask[k]
+        mask = np.delete(mask, k, axis=0)
+    return mask
+
+
+def _covering_mask(cover: ChartCover, n_points: int | None = None) -> np.ndarray:
+    """The cover's (L, N) membership mask; every point must be in some chart."""
+    if n_points is not None and n_points != cover.n_points:
+        raise CoverError(f"cover indexes {cover.n_points} points, not {n_points}")
+    mask = cover.membership_mask()
+    uncovered = np.flatnonzero(~mask.any(axis=0))
+    if uncovered.size:
+        raise CoverError(f"point {uncovered[0]} is not covered by any chart")
+    return mask
 
 
 def refine_partition(cover: ChartCover, n_points: int | None = None) -> RefinedPartition:
     """Group points by exact chart-membership signature.
 
     Each signature is one cell with nu = |cell| / N and n_owner the number
-    of charts in the signature.
+    of charts in the signature.  ``n_points``, when given, must equal N.
     """
-    n = cover.n_points if n_points is None else n_points
-    signatures: dict[tuple[int, ...], list[int]] = {}
-    membership: list[list[int]] = [[] for _ in range(n)]
-    for k, chart in enumerate(cover.charts):
-        for i in chart:
-            membership[i].append(k)
-    for i, owners in enumerate(membership):
-        if not owners:
-            raise CoverError(f"point {i} is not covered by any chart")
-        signatures.setdefault(tuple(owners), []).append(i)
+    mask = _covering_mask(cover, n_points)
+    n = mask.shape[1]
+    # a stable sort of the columns puts equal signatures in runs of ascending index
+    order = np.lexsort(mask)
+    breaks = np.flatnonzero((mask[:, order[1:]] != mask[:, order[:-1]]).any(axis=0)) + 1
     cells = []
-    for sig in sorted(signatures):
-        idx = np.array(signatures[sig], dtype=int)
+    for idx in np.split(order, breaks):
+        sig = tuple(np.flatnonzero(mask[:, idx[0]]).tolist())
         cells.append((idx, sig, len(sig), idx.size / n))
-    return RefinedPartition(cells=cells)
+    return RefinedPartition(cells=sorted(cells, key=lambda cell: cell[1]))
 
 
 def partition_from_cover(cover: ChartCover, points: np.ndarray) -> np.ndarray:
     """Hard chart assignment: unique membership wins, else nearest chart centroid.
 
-    Ties break toward the lowest chart id.  The result partitions {0..N-1}.
+    Ties break toward the lowest chart id.  ``points`` are the N points the
+    cover indexes; the result partitions {0..N-1}.
     """
     points = np.asarray(points, dtype=float)
+    mask = _covering_mask(cover, points.shape[0])
     centroids = np.stack([points[c].mean(axis=0) for c in cover.charts])
-    labels = np.full(cover.n_points, -1, dtype=int)
-    membership: list[list[int]] = [[] for _ in range(cover.n_points)]
-    for k, chart in enumerate(cover.charts):
-        for i in chart:
-            membership[i].append(k)
-    for i, owners in enumerate(membership):
-        if not owners:
-            raise CoverError(f"point {i} is not covered by any chart")
-        if len(owners) == 1:
-            labels[i] = owners[0]
-        else:
-            d = np.linalg.norm(centroids[owners] - points[i], axis=1)
-            labels[i] = owners[int(np.argmin(d))]
-    return labels
+    dist = np.linalg.norm(centroids[None, :, :] - points[:, None, :], axis=2)
+    return np.argmin(np.where(mask.T, dist, np.inf), axis=1)
 
 
 def partition_cover(cover: ChartCover, points: np.ndarray) -> ChartCover:
@@ -314,20 +293,36 @@ def save_cover(cover: ChartCover, path) -> None:
         ],
     }
     with open(path, "w") as fh:
-        json.dump(payload, fh)
+        fh.write(json.dumps(payload))
 
 
 def load_cover(path) -> ChartCover:
-    with open(path) as fh:
-        payload = json.load(fh)
+    try:
+        with open(path) as fh:
+            payload = json.load(fh)
+    except OSError as exc:
+        raise CoverError(f"{path}: cannot read cover: {exc.strerror}") from exc
+    except json.JSONDecodeError as exc:
+        raise CoverError(f"{path}: parse error at byte {exc.pos}: {exc.msg}") from exc
+    except UnicodeDecodeError as exc:
+        raise CoverError(f"{path}: not UTF-8 text at byte {exc.start}") from exc
+    if not isinstance(payload, dict):
+        raise CoverError(f"{path}: not a cover file")
     version = payload.get("format_version")
     if version != COVER_FORMAT_VERSION:
-        raise CoverError(f"unsupported cover format_version {version!r}")
-    cover = ChartCover(
-        n_points=int(payload["n_points"]),
-        charts=[np.asarray(c, dtype=int) for c in payload["charts"]],
-        nerve_edges={tuple(e) for e in payload["nerve_edges"]},
-        multiplicity=np.asarray(payload["multiplicity"], dtype=int),
-    )
-    cover.validate()
+        raise CoverError(f"{path}: unsupported cover format_version {version!r}")
+    try:
+        cover = ChartCover(
+            n_points=int(payload["n_points"]),
+            charts=[np.asarray(c, dtype=int) for c in payload["charts"]],
+            nerve_edges={tuple(e) for e in payload["nerve_edges"]},
+            multiplicity=np.asarray(payload["multiplicity"], dtype=int),
+        )
+        cover.validate()
+    except KeyError as exc:
+        raise CoverError(f"{path}: missing key {exc}") from exc
+    except (TypeError, ValueError, IndexError) as exc:
+        raise CoverError(f"{path}: malformed cover: {exc}") from exc
+    except CoverError as exc:
+        raise CoverError(f"{path}: {exc}") from exc
     return cover

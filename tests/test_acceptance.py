@@ -57,6 +57,8 @@ TREFOIL_TRAIN_FLAGS = [
     "--epochs-e4", "30", "--epochs-e5", "30",
     "--seed", "0",
 ]
+TORUS_COVER_FLAGS = ["--n-cubes", "5", "--perc-overlap", "0.45", "--threshold", "1.0", "--n-latent", "2"]
+TREFOIL_COVER_FLAGS = ["--n-cubes", "2", "--perc-overlap", "0.2", "--threshold", "1.0", "--n-latent", "1"]
 # single-vs-multi comparison: smaller cloud, identical hyperparameters for
 # both arms (a full-size single-chart Isomap would dominate the runtime)
 COMPARE_N = 3000
@@ -106,8 +108,7 @@ def torus_csv():
 @pytest.fixture(scope="session")
 def torus_cover(torus_csv):
     return _ensure(_cache("torus_cover.json"), lambda p: _run_cli(
-        ["cover", "--data", str(torus_csv), "--n-cubes", "5", "--perc-overlap", "0.45",
-         "--threshold", "1.0", "--n-latent", "2", "-o", str(p)]))
+        ["cover", "--data", str(torus_csv), *TORUS_COVER_FLAGS, "-o", str(p)]))
 
 
 @pytest.fixture(scope="session")
@@ -144,8 +145,7 @@ def trefoil_csv():
 @pytest.fixture(scope="session")
 def trefoil_cover(trefoil_csv):
     return _ensure(_cache("trefoil_cover.json"), lambda p: _run_cli(
-        ["cover", "--data", str(trefoil_csv), "--n-cubes", "2", "--perc-overlap", "0.2",
-         "--threshold", "1.0", "--n-latent", "1", "-o", str(p)]))
+        ["cover", "--data", str(trefoil_csv), *TREFOIL_COVER_FLAGS, "-o", str(p)]))
 
 
 @pytest.fixture(scope="session")
@@ -235,6 +235,20 @@ class TestChartCounts:
             n_torus == 6 and n_knot == 4,
             f"torus {n_torus} (=6), trefoil {n_knot} (=4)",
         )
+
+
+class TestCachedCover:
+    """The cached covers that the trained artifacts rest on must be what the
+    code under test builds from the cached point clouds."""
+
+    @pytest.mark.parametrize("name, flags", [("torus", TORUS_COVER_FLAGS), ("trefoil", TREFOIL_COVER_FLAGS)])
+    def test_cached_cover_rebuilds_byte_identical(self, tmp_path, name, flags):
+        data, cached = _cache(f"{name}.csv"), _cache(f"{name}_cover.json")
+        if not (data.exists() and cached.exists()):
+            pytest.skip("acceptance cache not built")
+        out = tmp_path / "cover.json"
+        _run_cli(["cover", "--data", str(data), *flags, "-o", str(out)])
+        assert out.read_bytes() == cached.read_bytes()
 
 
 class TestGenerationFidelity:

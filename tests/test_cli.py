@@ -115,6 +115,39 @@ class TestCoverCommand:
         assert rc == 3
 
 
+def _edited(key, value=None):
+    """Maker of a cover file with ``key`` dropped (value None) or replaced."""
+    def make(text):
+        payload = json.loads(text)
+        if value is None:
+            del payload[key]
+        else:
+            payload[key] = value
+        return json.dumps(payload).encode()
+    return make
+
+
+class TestBadCoverFile:
+    @pytest.mark.parametrize("make, detail", [
+        pytest.param(lambda text: text[: len(text) // 2].encode(), "parse error at byte", id="truncated"),
+        pytest.param(_edited("charts"), "missing key 'charts'", id="missing-key"),
+        pytest.param(_edited("charts", [[0, 1]]), "point 2 is not covered", id="uncovered"),
+        pytest.param(_edited("charts", [[-1]]), "chart 0 indexes a point outside", id="negative-index"),
+        pytest.param(lambda text: b"x0,x1,x2\n1,2,3\n", "parse error at byte 0", id="not-json"),
+        pytest.param(lambda text: b"[1, 2, 3]", "not a cover file", id="not-a-cover"),
+        pytest.param(lambda text: b"\xff\xfe\x00garbage", "not UTF-8 text at byte 0", id="binary"),
+        pytest.param(None, "cannot read cover", id="missing-file"),
+    ])
+    def test_unusable_cover_exit_7(self, torus_csv, cover_json, tmp_path, capsys, make, detail):
+        bad = tmp_path / "cover.json"
+        if make is not None:
+            bad.write_bytes(make(cover_json.read_text()))
+        rc = _run(["train", "--data", str(torus_csv), "--cover", str(bad), "-o", str(tmp_path / "m.json")])
+        assert rc == 7
+        err = capsys.readouterr().err
+        assert str(bad) in err and detail in err
+
+
 class TestTrainCommand:
     def test_checkpoint_loadable_and_log_written(self, tiny_checkpoint):
         ckpt, log = tiny_checkpoint
@@ -186,6 +219,19 @@ class TestSampleCommand:
         bad.write_text("{broken")
         rc = _run(["sample", "--checkpoint", str(bad), "--count", "10", "-o", str(tmp_path / "s.csv")])
         assert rc == 5
+
+    @pytest.mark.parametrize("content, detail", [
+        (None, "cannot read checkpoint"),
+        (b"\xff\xfe\x00garbage", "not UTF-8 text at byte 0"),
+    ], ids=["missing-file", "binary"])
+    def test_unreadable_checkpoint_exit_5(self, tmp_path, capsys, content, detail):
+        bad = tmp_path / "model.json"
+        if content is not None:
+            bad.write_bytes(content)
+        rc = _run(["sample", "--checkpoint", str(bad), "--count", "10", "-o", str(tmp_path / "s.csv")])
+        assert rc == 5
+        err = capsys.readouterr().err
+        assert str(bad) in err and detail in err
 
 
 class TestDensityCommand:

@@ -104,8 +104,138 @@ class TestSingleLinkage:
         for trial in range(5):
             pts = rng.uniform(0, 4, size=(60, 2))
             thr = rng.uniform(0.3, 1.0)
-            got = sorted([c.tolist() for c in cov.single_linkage(pts, thr)])
-            assert got == _brute_force_components(pts, thr)
+            clusters = cov.single_linkage(pts, thr)
+            # already in oracle order: by smallest member, members sorted
+            assert [c.tolist() for c in clusters] == _brute_force_components(pts, thr)
+            assert all(c.dtype == np.int64 for c in clusters)
+
+    def test_empty_and_single_point(self):
+        assert cov.single_linkage(np.empty((0, 3)), 1.0) == []
+        clusters = cov.single_linkage(np.array([[1.0, 2.0, 3.0]]), 1.0)
+        assert [c.tolist() for c in clusters] == [[0]]
+
+    def test_duplicate_points(self):
+        pts = np.array([[5.0, 5.0], [0.0, 0.0], [5.0, 5.0], [0.0, 0.0], [9.0, 9.0]])
+        clusters = cov.single_linkage(pts, 0.1)
+        assert [c.tolist() for c in clusters] == [[0, 2], [1, 3], [4]]
+
+    def test_pair_at_exact_threshold_links(self):
+        # 0.5 is exact in binary, so the distance equals the threshold exactly
+        pts = np.array([[0.0], [0.5], [1.0], [2.0]])
+        clusters = cov.single_linkage(pts, 0.5)
+        assert [c.tolist() for c in clusters] == [[0, 1, 2], [3]]
+        assert [c.tolist() for c in cov.single_linkage(pts, np.nextafter(0.5, 0))] == [[0], [1], [2], [3]]
+
+
+# Per-point loop versions of the cover functions, kept as references for the
+# membership-mask implementations in atlasflow.cover.
+def _oracle_membership(charts, n):
+    membership = [[] for _ in range(n)]
+    for k, chart in enumerate(charts):
+        for i in chart:
+            membership[i].append(k)
+    return membership
+
+
+def _oracle_refine_partition(charts, n):
+    signatures = {}
+    for i, owners in enumerate(_oracle_membership(charts, n)):
+        signatures.setdefault(tuple(owners), []).append(i)
+    return [(signatures[sig], sig, len(sig), len(signatures[sig]) / n) for sig in sorted(signatures)]
+
+
+def _oracle_partition_from_cover(charts, points):
+    centroids = np.stack([points[c].mean(axis=0) for c in charts])
+    labels = []
+    for i, owners in enumerate(_oracle_membership(charts, len(points))):
+        d = np.linalg.norm(centroids[owners] - points[i], axis=1)
+        labels.append(owners[int(np.argmin(d))])
+    return labels
+
+
+def _oracle_nerve_edges(charts):
+    sets = [set(c.tolist()) for c in charts]
+    return {(i, j) for i in range(len(sets)) for j in range(i + 1, len(sets)) if sets[i] & sets[j]}
+
+
+def _oracle_merge_small_charts(charts, points, min_size):
+    charts = [np.array(sorted(set(c.tolist())), dtype=int) for c in charts]
+    while len(charts) > 1:
+        sizes = [c.size for c in charts]
+        small = [k for k, sz in enumerate(sizes) if sz < min_size]
+        if not small:
+            break
+        k = min(small, key=lambda i: (sizes[i], i))
+        centroid = points[charts[k]].mean(axis=0)
+        members = set(charts[k].tolist())
+        neighbors = [j for j in range(len(charts)) if j != k and members & set(charts[j].tolist())]
+        candidates = neighbors if neighbors else [j for j in range(len(charts)) if j != k]
+        target = min(
+            candidates,
+            key=lambda j: (float(np.linalg.norm(points[charts[j]].mean(axis=0) - centroid)), j),
+        )
+        charts[target] = np.array(sorted(members | set(charts[target].tolist())), dtype=int)
+        del charts[k]
+    return charts
+
+
+def _random_cover(rng, n=60, n_charts=7):
+    """A cover of n grid points (many duplicates and centroid ties) by random
+    charts of very uneven size, some below any useful min_size."""
+    points = rng.integers(0, 3, size=(n, 2)).astype(float)
+    owner = rng.integers(0, n_charts, size=n)
+    charts = []
+    for k in range(n_charts):
+        extra = rng.choice(n, size=rng.integers(0, 4), replace=False)
+        charts.append(np.union1d(np.flatnonzero(owner == k), extra))
+    charts = [c for c in charts if c.size]
+    return points, cov.ChartCover(n_points=n, charts=charts)
+
+
+def _merged(charts, points, min_size):
+    mask = cov._merge_small_charts(cov.ChartCover(len(points), charts).membership_mask(), points, min_size)
+    return [np.flatnonzero(row).tolist() for row in mask]
+
+
+class TestMaskFunctionsMatchLoopOracles:
+    def test_random_covers(self):
+        rng = np.random.default_rng(11)
+        for trial in range(40):
+            points, cover = _random_cover(rng, n=int(rng.integers(5, 80)), n_charts=int(rng.integers(1, 9)))
+            want = _oracle_refine_partition(cover.charts, cover.n_points)
+            got = cov.refine_partition(cover).cells
+            assert [(idx.tolist(), sig, n, nu) for idx, sig, n, nu in got] == want
+            labels = cov.partition_from_cover(cover, points)
+            assert labels.tolist() == _oracle_partition_from_cover(cover.charts, points)
+            assert cov._nerve_edges(cover.membership_mask()) == _oracle_nerve_edges(cover.charts)
+            for min_size in (1, 4, 12):
+                want = [c.tolist() for c in _oracle_merge_small_charts(cover.charts, points, min_size)]
+                assert _merged(cover.charts, points, min_size) == want
+
+    def test_centroid_distance_tie_goes_to_lowest_id(self):
+        pts = np.array([[0.0, 0.0], [2.0, 0.0], [1.0, 0.0]])
+        for charts in ([np.array([0, 2]), np.array([1, 2])], [np.array([1, 2]), np.array([0, 2])]):
+            cover = cov.ChartCover(n_points=3, charts=charts)
+            # point 2 sits exactly halfway between the two centroids
+            assert _oracle_partition_from_cover(charts, pts)[2] == 0
+            assert cov.partition_from_cover(cover, pts)[2] == 0
+
+    def test_merge_ties_by_size_then_distance(self):
+        # charts 1 and 2 tie on size, and chart 1's neighbours 0 and 3 tie on
+        # centroid distance; breaking either tie the other way changes the result
+        pts = np.array([[3.0], [1.0], [4.0], [3.0], [3.0]])
+        charts = [np.array([1, 2, 4]), np.array([2, 3]), np.array([0, 1]), np.array([1, 2, 4])]
+        want = [c.tolist() for c in _oracle_merge_small_charts(charts, pts, 3)]
+        assert want == [[1, 2, 3, 4], [0, 1, 2, 4]]
+        assert _merged(charts, pts, 3) == want
+
+    def test_small_chart_without_neighbour_falls_back_to_nearest(self):
+        pts = np.array([[0.0], [1.0], [2.0], [5.0], [6.0], [7.0], [7.5]])
+        charts = [np.array([0, 1, 2]), np.array([3, 4, 5]), np.array([6])]
+        assert _oracle_nerve_edges(charts) == set()
+        want = [c.tolist() for c in _oracle_merge_small_charts(charts, pts, 2)]
+        assert want == [[0, 1, 2], [3, 4, 5, 6]]
+        assert _merged(charts, pts, 2) == want
 
 
 class TestMapperCover:
@@ -168,7 +298,7 @@ class TestRefinedPartition:
         cloud = synth.gen_torus(synth.ManifoldSpec("torus", 2000, 0.1, seed=3))
         cover = cov.mapper_cover(cloud.points, cov.MapperConfig(5, 0.45, 1.0))
         part = cov.refine_partition(cover)
-        assert abs(part.nu_values().sum() - 1.0) < 1e-12
+        assert abs(sum(nu for *_, nu in part.cells) - 1.0) < 1e-12
 
     def test_uncovered_point_rejected(self):
         cover = cov.ChartCover.__new__(cov.ChartCover)
