@@ -18,6 +18,8 @@ disintegrated share.
 
 from __future__ import annotations
 
+import base64
+import binascii
 import json
 import math
 from dataclasses import asdict, dataclass, field, replace
@@ -41,7 +43,7 @@ from .losses import (
 from .nnopt import AdamState, LrSchedule, adam_step, clip_global_norm, init_adam, lr_at
 from .synth import PointCloud
 
-CHECKPOINT_FORMAT_VERSION = 1
+CHECKPOINT_FORMAT_VERSION = 2
 
 
 @dataclass
@@ -153,7 +155,7 @@ class AtlasModel:
             raise ValueError("chart model count != cover chart count")
         total = sum(c.c_k for c in self.charts)
         if abs(total - 1.0) > 1e-12:
-            raise ValueError(f"chart weights sum to {total!r}, expected 1")
+            raise ValueError(f"chart weights c_k sum to {total!r}, expected 1")
 
     @property
     def c(self) -> np.ndarray:
@@ -464,12 +466,16 @@ def sample(model: AtlasModel, count: int, rng: np.random.Generator):
     return PointCloud(points=out), labels
 
 
-def chart_log_density(model: AtlasModel, x: np.ndarray, k: int) -> np.ndarray:
-    """log p of chart k at points x, including the embedding volume term."""
+def chart_log_density(model: AtlasModel, x: np.ndarray, k: int, latents=None) -> np.ndarray:
+    """log p of chart k at points x, including the embedding volume term.
+
+    ``latents`` are chart k's latent codes of x when the caller already has
+    them; the ``phi`` forward pass is then skipped.
+    """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     chart = model.charts[k]
     n = model.latent_dim
-    v = fl.latent_codes(chart.phi, n, x)
+    v = fl.latent_codes(chart.phi, n, x) if latents is None else latents
     w, ld = fl.stack_forward(chart.gamma, np.atleast_2d(v))
     log_normal = -0.5 * n * LOG_TWO_PI - 0.5 * (w * w).sum(axis=1)
     gram = fl.embedding_gram_logdet(chart.phi, n, np.atleast_2d(v))
@@ -494,10 +500,15 @@ def log_density(
         return out if np.asarray(x).ndim > 1 else out[0]
     thresh = model.config.membership_threshold if membership_threshold is None else membership_threshold
     n_charts = model.cover.n_charts
+    n = model.latent_dim
     recon_err = np.empty((n_charts, x_arr.shape[0]))
+    latents = []
     for k, cm in enumerate(model.charts):
-        xr = fl.reconstruct(cm.phi, model.latent_dim, x_arr)
+        # fl.reconstruct, keeping the latent codes for the density terms below
+        z, _, _ = fl.stack_forward_cached(cm.phi, x_arr)
+        xr, _, _ = fl.stack_inverse_cached(cm.phi, fl.project(z, n))
         recon_err[k] = np.linalg.norm(xr - x_arr, axis=1)
+        latents.append(z[:, :n])
     include = recon_err <= thresh
     include[recon_err.argmin(axis=0), np.arange(x_arr.shape[0])] = True
     log_terms = np.full((n_charts, x_arr.shape[0]), -np.inf)
@@ -505,10 +516,69 @@ def log_density(
         rows = np.flatnonzero(include[k])
         if rows.size == 0:
             continue
-        log_terms[k, rows] = math.log(cm.c_k) + chart_log_density(model, x_arr[rows], k)
+        log_p = chart_log_density(model, x_arr[rows], k, latents=latents[k][rows])
+        log_terms[k, rows] = math.log(cm.c_k) + log_p
     m = log_terms.max(axis=0)
     out = m + np.log(np.exp(log_terms - m).sum(axis=0))
     return out if np.asarray(x).ndim > 1 else out[0]
+
+
+class _Malformed(ValueError):
+    """A checkpoint entry that cannot be decoded, with the key path leading to it."""
+
+    def __init__(self, keys: list, reason: str):
+        super().__init__(reason)
+        self.keys = keys
+
+    def __str__(self) -> str:
+        where = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in self.keys).lstrip(".")
+        return f"{where}: {self.args[0]}" if where else self.args[0]
+
+
+def _decode(obj, key, fn):
+    """``fn(obj[key])``; any failure becomes :class:`_Malformed` naming the key path."""
+    try:
+        value = obj[key]
+    except (KeyError, IndexError):
+        raise _Malformed([], f"missing key {key!r}") from None
+    except TypeError:
+        raise _Malformed([], f"{type(obj).__name__} has no key {key!r}") from None
+    try:
+        return fn(value)
+    except _Malformed as exc:
+        exc.keys.insert(0, key)
+        raise
+    except (LookupError, TypeError, ValueError, CoverError) as exc:
+        raise _Malformed([key], str(exc)) from exc
+
+
+def _each(fn):
+    """Decoder of a list whose items all decode with ``fn``."""
+    return lambda items: [_decode(items, i, fn) for i in range(len(items))]
+
+
+def _indices(v) -> np.ndarray:
+    return np.asarray(v, dtype=int)
+
+
+def _pack(a: np.ndarray) -> dict:
+    """A float array as its shape and the base64 of its little-endian float64 bytes."""
+    a = np.asarray(a, dtype="<f8")
+    return {"shape": list(a.shape), "f8": base64.b64encode(a.tobytes()).decode("ascii")}
+
+
+def _unpack(entry) -> np.ndarray:
+    """Inverse of :func:`_pack`; a plain list (format_version 1) is read as decimal floats."""
+    if isinstance(entry, list):
+        return np.asarray(entry, dtype=float)
+    shape = _decode(entry, "shape", lambda s: [int(d) for d in s])
+    try:
+        data = base64.b64decode(_decode(entry, "f8", str), validate=True)
+    except binascii.Error as exc:
+        raise _Malformed([], f"'f8' is not base64: {exc}") from exc
+    if len(data) != math.prod(shape) * 8:
+        raise _Malformed([], f"'f8' holds {len(data)} bytes, shape {shape} needs {math.prod(shape) * 8}")
+    return np.frombuffer(data, dtype="<f8").reshape(shape).astype(float)
 
 
 def _flow_to_dict(f: fl.FlowStack) -> dict:
@@ -523,44 +593,69 @@ def _flow_to_dict(f: fl.FlowStack) -> dict:
         if layer.conditioner is not None:
             entry["conditioner"] = {
                 "activation": layer.conditioner.activation,
-                "weights": [w.tolist() for w in layer.conditioner.weights],
-                "biases": [b.tolist() for b in layer.conditioner.biases],
+                "weights": [_pack(w) for w in layer.conditioner.weights],
+                "biases": [_pack(b) for b in layer.conditioner.biases],
             }
         else:
-            entry["raw"] = [a.tolist() for a in layer.raw]
+            entry["raw"] = [_pack(a) for a in layer.raw]
         layers.append(entry)
     return {"dim": f.dim, "layers": layers}
 
 
 def _flow_from_dict(payload: dict) -> fl.FlowStack:
-    layers = []
-    for entry in payload["layers"]:
-        cond = None
-        raw = None
+    dim = _decode(payload, "dim", int)
+
+    def layer(entry: dict) -> fl.CouplingLayer:
+        cond = raw = None
         if "conditioner" in entry:
-            c = entry["conditioner"]
-            cond = fl.MlpParams(
-                weights=[np.asarray(w, dtype=float) for w in c["weights"]],
-                biases=[np.asarray(b, dtype=float) for b in c["biases"]],
-                activation=c["activation"],
-            )
+            cond = _decode(entry, "conditioner", lambda c: fl.MlpParams(
+                weights=_decode(c, "weights", _each(_unpack)),
+                biases=_decode(c, "biases", _each(_unpack)),
+                activation=_decode(c, "activation", str),
+            ))
         else:
-            raw = [np.asarray(a, dtype=float) for a in entry["raw"]]
-        layers.append(
-            fl.CouplingLayer(
-                dim=payload["dim"],
-                id_idx=np.asarray(entry["id_idx"], dtype=int),
-                tr_idx=np.asarray(entry["tr_idx"], dtype=int),
-                n_bins=int(entry["n_bins"]),
-                bound=float(entry["bound"]),
-                conditioner=cond,
-                raw=raw,
-            )
+            raw = _decode(entry, "raw", _each(_unpack))
+        return fl.CouplingLayer(
+            dim=dim,
+            id_idx=_decode(entry, "id_idx", _indices),
+            tr_idx=_decode(entry, "tr_idx", _indices),
+            n_bins=_decode(entry, "n_bins", int),
+            bound=_decode(entry, "bound", float),
+            conditioner=cond,
+            raw=raw,
         )
-    return fl.FlowStack(dim=int(payload["dim"]), layers=layers)
+
+    return fl.FlowStack(dim=dim, layers=_decode(payload, "layers", _each(layer)))
+
+
+def _cover_from_dict(c: dict) -> ChartCover:
+    cover = ChartCover(
+        n_points=_decode(c, "n_points", int),
+        charts=_decode(c, "charts", _each(_indices)),
+        nerve_edges=_decode(c, "nerve_edges", lambda edges: {tuple(e) for e in edges}),
+        multiplicity=_decode(c, "multiplicity", _indices),
+    )
+    cover.validate()
+    return cover
+
+
+def _chart_from_dict(entry: dict) -> ChartModel:
+    return ChartModel(
+        chart_id=_decode(entry, "chart_id", int),
+        members=_decode(entry, "members", _indices),
+        phi=_decode(entry, "phi", _flow_from_dict),
+        gamma=_decode(entry, "gamma", _flow_from_dict),
+        c_k=_decode(entry, "c_k", float),
+    )
 
 
 def save(model: AtlasModel, path) -> None:
+    """Write the model as one JSON object.
+
+    Float parameter arrays are ``{"shape": [...], "f8": <base64>}`` blocks of
+    little-endian float64 bytes, so they round-trip bit for bit; the cover,
+    config and index lists are plain JSON.
+    """
     cfg = asdict(model.config)
     payload = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
@@ -589,6 +684,12 @@ def save(model: AtlasModel, path) -> None:
 
 
 def load(path) -> AtlasModel:
+    """Read a checkpoint written by :func:`save`, or by the format_version 1
+    writer that stored parameters as nested decimal lists.
+
+    Anything unreadable or malformed raises :class:`CheckpointError` naming
+    the path and the offending key.
+    """
     try:
         with open(path) as fh:
             payload = json.load(fh)
@@ -601,32 +702,17 @@ def load(path) -> AtlasModel:
     if not isinstance(payload, dict) or "format_version" not in payload:
         raise CheckpointError(f"{path}: not an atlas checkpoint")
     version = payload["format_version"]
-    if version != CHECKPOINT_FORMAT_VERSION:
+    if version not in (1, CHECKPOINT_FORMAT_VERSION):
         raise CheckpointError(
-            f"{path}: format_version {version!r} unsupported (expected {CHECKPOINT_FORMAT_VERSION})"
+            f"{path}: format_version {version!r} unsupported (expected 1 or {CHECKPOINT_FORMAT_VERSION})"
         )
-    cov = payload["cover"]
-    cover = ChartCover(
-        n_points=int(cov["n_points"]),
-        charts=[np.asarray(c, dtype=int) for c in cov["charts"]],
-        nerve_edges={tuple(e) for e in cov["nerve_edges"]},
-        multiplicity=np.asarray(cov["multiplicity"], dtype=int),
-    )
-    cfg = TrainConfig(**payload["config"])
-    charts = [
-        ChartModel(
-            chart_id=int(entry["chart_id"]),
-            members=np.asarray(entry["members"], dtype=int),
-            phi=_flow_from_dict(entry["phi"]),
-            gamma=_flow_from_dict(entry["gamma"]),
-            c_k=float(entry["c_k"]),
+    try:
+        return AtlasModel(
+            dim=_decode(payload, "dim", int),
+            latent_dim=_decode(payload, "latent_dim", int),
+            charts=_decode(payload, "charts", _each(_chart_from_dict)),
+            cover=_decode(payload, "cover", _cover_from_dict),
+            config=_decode(payload, "config", lambda c: TrainConfig(**c)),
         )
-        for entry in payload["charts"]
-    ]
-    return AtlasModel(
-        dim=int(payload["dim"]),
-        latent_dim=int(payload["latent_dim"]),
-        charts=charts,
-        cover=cover,
-        config=cfg,
-    )
+    except ValueError as exc:
+        raise CheckpointError(f"{path}: {exc}") from exc

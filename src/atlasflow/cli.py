@@ -2,10 +2,11 @@
 
 Subcommands: synth, cover, train, sample, density, eval-boundary,
 compare-single.  Exit codes: 2 configuration error (incl. unknown manifold /
-bad config file), 3 degenerate lens, 4 training divergence, 5 unreadable or
-version-mismatched checkpoint, 6 chart-label mismatch between checkpoints, 7
-unusable cover (unreadable or malformed cover file, or a cover that leaves
-points uncovered).
+bad config file), 3 degenerate lens, 4 training divergence, 5 unreadable,
+malformed or version-mismatched checkpoint, 6 chart-label mismatch between
+checkpoints, 7 unusable cover (unreadable or malformed cover file, or a cover
+that leaves points uncovered), 8 unusable point CSV (missing, ragged,
+non-numeric, or without x* columns or data rows).
 
 Config precedence: command-line flags override the --config JSON file, which
 overrides the preset defaults (torus values unless --preset trefoil).
@@ -28,6 +29,7 @@ from .errors import (
     CheckpointError,
     ConfigError,
     CoverError,
+    DataError,
     DegenerateLensError,
     DivergenceError,
     LabelMismatchError,
@@ -40,6 +42,7 @@ _EXIT_CODES = [
     (CheckpointError, 5),
     (LabelMismatchError, 6),
     (CoverError, 7),
+    (DataError, 8),
 ]
 
 _CONFIG_KEYS = {

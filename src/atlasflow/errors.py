@@ -17,6 +17,10 @@ class DegenerateLensError(AtlasFlowError):
     """Lens values are constant; no interval cover can be built."""
 
 
+class DataError(AtlasFlowError):
+    """Point-cloud CSV is unreadable, ragged, non-numeric or has no coordinates."""
+
+
 class CoverError(AtlasFlowError):
     """Cover construction produced no usable charts or left points uncovered."""
 
@@ -40,7 +44,7 @@ class DivergenceError(AtlasFlowError):
 
 
 class CheckpointError(AtlasFlowError):
-    """Checkpoint file is unreadable or has an unsupported format version."""
+    """Checkpoint file is unreadable, malformed or has an unsupported format version."""
 
 
 class LabelMismatchError(AtlasFlowError):

@@ -308,12 +308,18 @@ class CouplingLayer:
         self.tr_idx = np.asarray(self.tr_idx, dtype=int)
         if self.tr_idx.size == 0:
             raise ValueError("coupling layer must transform at least one coordinate")
+        m, k = self.tr_idx.size, self.n_bins
         if self.conditioner is None and self.raw is None:
-            k = self.n_bins
-            m = self.tr_idx.size
             self.raw = [np.zeros((m, k)), np.zeros((m, k)), np.zeros((m, k - 1))]
-        if self.conditioner is not None and self.id_idx.size == 0:
-            raise ValueError("conditioned layer needs a nonempty identity part")
+        if self.conditioner is not None:
+            if self.id_idx.size == 0:
+                raise ValueError("conditioned layer needs a nonempty identity part")
+            dims = (self.conditioner.in_dim, self.conditioner.out_dim)
+            if dims != (self.id_idx.size, m * (3 * k - 1)):
+                raise ValueError(f"conditioner maps {dims[0]} -> {dims[1]}, layer needs "
+                                 f"{self.id_idx.size} -> {m * (3 * k - 1)}")
+        elif [np.shape(a) for a in self.raw] != [(m, k), (m, k), (m, k - 1)]:
+            raise ValueError(f"raw spline blocks must have shapes ({m}, {k}), ({m}, {k}), ({m}, {k - 1})")
 
     def parameters(self) -> list[np.ndarray]:
         if self.conditioner is not None:

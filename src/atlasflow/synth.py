@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 
 TWO_PI = 2.0 * math.pi
 
@@ -253,16 +253,42 @@ def save_csv(cloud: PointCloud, path) -> None:
 
 
 def load_csv(path) -> PointCloud:
-    """Read a point-cloud CSV written by :func:`save_csv` (or any x*-column CSV)."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = [list(map(float, row)) for row in reader if row]
+    """Read a point-cloud CSV written by :func:`save_csv` (or any x*-column CSV).
+
+    An unusable file raises :class:`DataError` naming the path and, for a bad
+    row, its 1-based line.
+    """
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader, [])
+                rows = [list(map(float, row)) for row in reader if row]
+            except UnicodeDecodeError as exc:
+                raise DataError(f"{path}: not UTF-8 text") from exc
+            except (ValueError, csv.Error) as exc:
+                raise DataError(f"{path}: line {reader.line_num}: {exc}") from exc
+    except OSError as exc:
+        raise DataError(f"{path}: cannot read point CSV: {exc.strerror}") from exc
     x_cols = [i for i, name in enumerate(header) if name.startswith("x")]
     t_cols = [i for i, name in enumerate(header) if name.startswith("t")]
     if not x_cols:
-        raise ValueError(f"{path}: no coordinate columns (expected header x0,x1,...)")
-    data = np.asarray(rows, dtype=float)
-    points = data[:, x_cols]
+        raise DataError(f"{path}: no coordinate columns (expected header x0,x1,...)")
+    if not rows:
+        raise DataError(f"{path}: no data rows")
+    try:
+        data = np.asarray(rows, dtype=float)
+        points = data[:, x_cols]
+    except (ValueError, IndexError) as exc:
+        raise DataError(
+            f"{path}: line {_first_ragged_line(path, len(header))}: row width differs from "
+            f"the header's {len(header)} columns"
+        ) from exc
     params = data[:, t_cols] if t_cols else None
     return PointCloud(points=points, params=params)
+
+
+def _first_ragged_line(path, width: int) -> int | None:
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        return next((reader.line_num for row in reader if row and len(row) != width), None)

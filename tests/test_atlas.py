@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +10,9 @@ from atlasflow import flow as fl
 from atlasflow.cover import ChartCover, MapperConfig, refine_partition
 from atlasflow.errors import CheckpointError, CoverError
 from atlasflow.synth import PointCloud
+
+# trained by the format_version 1 writer, which stored parameters as decimal lists
+_V1_MODELS = sorted((Path(__file__).parent / ".acceptance_cache").glob("*_model.json"))
 
 
 def _plane_cloud(n=400, noise=0.01, seed=0):
@@ -264,6 +268,50 @@ class TestLogDensity:
         integral = float(np.exp(log_p + gram).mean() * (2 * lim))
         assert abs(integral - 1.0) < 0.05
 
+    @pytest.mark.parametrize("cached", [p for p in _V1_MODELS if "torus_cover" in p.name], ids=lambda p: p.name)
+    def test_matches_per_chart_reference(self, cached):
+        # reference: fl.reconstruct per chart, then chart_log_density running
+        # its own phi forward on the included rows
+        model = atlas.load(cached)
+        cloud, _ = atlas.sample(model, 400, np.random.default_rng(3))
+        x = cloud.points + np.random.default_rng(4).normal(scale=0.2, size=cloud.points.shape)
+        err = np.stack([np.linalg.norm(fl.reconstruct(cm.phi, model.latent_dim, x) - x, axis=1)
+                        for cm in model.charts])
+        include = err <= model.config.membership_threshold
+        include[err.argmin(axis=0), np.arange(len(x))] = True
+        terms = np.full(include.shape, -np.inf)
+        for k, cm in enumerate(model.charts):
+            rows = np.flatnonzero(include[k])
+            if rows.size:
+                terms[k, rows] = math.log(cm.c_k) + atlas.chart_log_density(model, x[rows], k)
+        m = terms.max(axis=0)
+        expected = m + np.log(np.exp(terms - m).sum(axis=0))
+        assert include.sum() > len(x)  # some points are scored by two charts
+        assert np.array_equal(atlas.log_density(model, x), expected)
+
+
+def _perturbed_model(dim, latent_dim, seed):
+    """A one-chart model whose flows carry random, non-round parameters."""
+    rng = np.random.default_rng(seed)
+    flows = []
+    for d in (dim, latent_dim):
+        f = fl.make_flow(d, 3, rng, hidden=(8, 8))
+        f.set_parameters([p + rng.normal(size=p.shape) for p in f.parameters()])
+        flows.append(f)
+    return atlas.AtlasModel(
+        dim=dim, latent_dim=latent_dim,
+        charts=[atlas.ChartModel(0, np.array([0]), flows[0], flows[1], 1.0)],
+        cover=ChartCover(n_points=1, charts=[np.array([0])]),
+        config=atlas.TrainConfig(latent_dim=latent_dim),
+    )
+
+
+def _flow_pairs(a, b):
+    for ca, cb in zip(a.charts, b.charts, strict=True):
+        assert ca.c_k == cb.c_k
+        yield ca.phi, cb.phi
+        yield ca.gamma, cb.gamma
+
 
 class TestCheckpointIO:
     def test_round_trip_parameters(self, plane_model, tmp_path):
@@ -294,10 +342,55 @@ class TestCheckpointIO:
         path = tmp_path / "ckpt.json"
         atlas.save(model, path)
         payload = json.loads(path.read_text())
-        payload["format_version"] = 2
+        payload["format_version"] = 99
         path.write_text(json.dumps(payload))
         with pytest.raises(CheckpointError, match="format_version"):
             atlas.load(path)
+
+    @pytest.mark.parametrize("dim, latent_dim", [(3, 2), (3, 1)], ids=["conditioned-3d", "raw-1d-gamma"])
+    def test_v2_round_trip_bit_identical(self, tmp_path, dim, latent_dim):
+        # the 1-D gamma of the second case is the trefoil's: raw spline blocks, no conditioner
+        model = _perturbed_model(dim, latent_dim, seed=latent_dim)
+        path = tmp_path / "ckpt.json"
+        atlas.save(model, path)
+        assert json.loads(path.read_text())["format_version"] == 2
+        back = atlas.load(path)
+        for flow_a, flow_b in _flow_pairs(model, back):
+            for a, b in zip(flow_a.parameters(), flow_b.parameters(), strict=True):
+                assert b.dtype == np.float64 and b.flags.writeable and b.flags.c_contiguous
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    def test_no_decimal_float_lists(self, tmp_path):
+        path = tmp_path / "ckpt.json"
+        atlas.save(_perturbed_model(3, 2, seed=5), path)
+        lists = []
+
+        def walk(node):
+            if isinstance(node, dict):
+                for value in node.values():
+                    walk(value)
+            elif isinstance(node, list):
+                lists.append(node)
+                for value in node:
+                    walk(value)
+
+        walk(json.loads(path.read_text()))
+        assert lists and not any(isinstance(v, float) for lst in lists for v in lst)
+
+    @pytest.mark.parametrize("cached", _V1_MODELS, ids=lambda p: p.name)
+    def test_v1_model_reloads_as_v2(self, tmp_path, cached):
+        assert json.loads(cached.read_text())["format_version"] == 1
+        v1 = atlas.load(cached)
+        path = tmp_path / "v2.json"
+        atlas.save(v1, path)
+        v2 = atlas.load(path)
+        for flow_a, flow_b in _flow_pairs(v1, v2):
+            for a, b in zip(flow_a.parameters(), flow_b.parameters(), strict=True):
+                assert a.tobytes() == b.tobytes()
+        samples_a, labels_a = atlas.sample(v1, 2000, np.random.default_rng(7))
+        samples_b, labels_b = atlas.sample(v2, 2000, np.random.default_rng(7))
+        assert np.array_equal(labels_a, labels_b)
+        assert samples_a.points.tobytes() == samples_b.points.tobytes()
 
     def test_corrupt_file_reports_offset(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -234,6 +234,73 @@ class TestSampleCommand:
         assert str(bad) in err and detail in err
 
 
+def _ckpt_edited(edit):
+    """Maker of a checkpoint file changed in place by ``edit(payload)``."""
+    def make(text):
+        payload = json.loads(text)
+        edit(payload)
+        return json.dumps(payload).encode()
+    return make
+
+
+def _layer(payload, flow="phi"):
+    return payload["charts"][0][flow]["layers"][0]
+
+
+class TestMalformedCheckpoint:
+    @pytest.mark.parametrize("make, detail", [
+        pytest.param(lambda text: b'{"format_version": 1}', "missing key 'dim'", id="v1-stub"),
+        pytest.param(_ckpt_edited(lambda p: p.pop("cover")), "missing key 'cover'", id="missing-cover"),
+        pytest.param(_ckpt_edited(lambda p: _layer(p)["conditioner"].pop("weights")),
+                     "charts[0].phi.layers[0].conditioner: missing key 'weights'", id="missing-weights"),
+        pytest.param(_ckpt_edited(lambda p: p.update(dim="three")), "dim: invalid literal", id="dim-not-int"),
+        pytest.param(_ckpt_edited(lambda p: p["cover"].update(charts=5)), "cover.charts: ", id="charts-not-list"),
+        pytest.param(_ckpt_edited(lambda p: p["charts"].__setitem__(1, 7)),
+                     "charts[1]: int has no key", id="chart-not-object"),
+        pytest.param(_ckpt_edited(lambda p: _layer(p)["conditioner"]["biases"][0].update(f8="not base64!")),
+                     "charts[0].phi.layers[0].conditioner.biases[0]: 'f8' is not base64", id="bad-base64"),
+        pytest.param(_ckpt_edited(lambda p: _layer(p, "gamma")["conditioner"]["weights"][1].update(shape=[3, 3])),
+                     "charts[0].gamma.layers[0].conditioner.weights[1]: 'f8' holds", id="byte-count"),
+        pytest.param(_ckpt_edited(lambda p: _layer(p)["conditioner"]["weights"][0]["shape"].reverse()),
+                     "charts[0].phi.layers[0].conditioner", id="wrong-shape"),
+        pytest.param(_ckpt_edited(lambda p: p["config"].update(bogus=1)),
+                     "argument 'bogus'", id="unknown-config-key"),
+        pytest.param(_ckpt_edited(lambda p: p["config"].update(lambda_p=5.0)),
+                     "config: lambda_p must lie in (0, 1]", id="invalid-config"),
+        pytest.param(_ckpt_edited(lambda p: p["charts"][0].update(c_k=p["charts"][0]["c_k"] / 2)),
+                     "chart weights c_k sum to", id="weights-not-normalized"),
+        pytest.param(_ckpt_edited(lambda p: p["cover"]["charts"][0].append(10**6)),
+                     "cover: chart 0 indexes a point outside", id="cover-index"),
+    ])
+    def test_malformed_checkpoint_exit_5(self, tiny_checkpoint, tmp_path, capsys, make, detail):
+        ckpt, _ = tiny_checkpoint
+        bad = tmp_path / "model.json"
+        bad.write_bytes(make(ckpt.read_text()))
+        rc = _run(["sample", "--checkpoint", str(bad), "--count", "10", "-o", str(tmp_path / "s.csv")])
+        assert rc == 5
+        err = capsys.readouterr().err
+        assert str(bad) in err and detail in err
+
+
+class TestBadPointCsv:
+    @pytest.mark.parametrize("content, detail", [
+        (b"x0,x1,x2\n1,2,3\n4,5\n6,7,8\n", "line 3: row width differs"),
+        (b"x0,x1,x2\n1,2,3\n\n4,5,6\n7,eight,9\n", "line 5: could not convert string to float"),
+        (b"x0,x1,x2\n", "no data rows"),
+        (b"a,b,c\n1,2,3\n", "no coordinate columns"),
+        (b"", "no coordinate columns"),
+        (None, "cannot read point CSV"),
+    ], ids=["ragged", "non-numeric", "header-only", "no-x-header", "empty", "missing-file"])
+    def test_unusable_csv_exit_8(self, tmp_path, capsys, content, detail):
+        bad = tmp_path / "points.csv"
+        if content is not None:
+            bad.write_bytes(content)
+        rc = _run(["cover", "--data", str(bad), "-o", str(tmp_path / "c.json")])
+        assert rc == 8
+        err = capsys.readouterr().err
+        assert str(bad) in err and detail in err
+
+
 class TestDensityCommand:
     def test_columns_and_row_count(self, tiny_checkpoint, torus_csv, tmp_path):
         ckpt, _ = tiny_checkpoint
