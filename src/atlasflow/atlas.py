@@ -321,7 +321,17 @@ def train(
             row.update(losses)
             log_rows.append(row)
 
-    def _build_gamma(st: _ChartState):
+    def _frozen_latents(st: _ChartState, v: np.ndarray | None = None) -> np.ndarray:
+        """Latent codes of the chart's members under its current ``phi``
+        (``v`` when the caller has them), indexed by global point index.
+        The forward pass treats rows independently, so a row read from here
+        equals the one a batch forward would give."""
+        out = np.empty((n_points, n))
+        out[st.members] = fl.latent_codes(st.phi, n, st.x) if v is None else v
+        return out
+
+    def _build_gamma(st: _ChartState) -> np.ndarray:
+        """Create chart st's density map; returns its frozen latents."""
         v = fl.latent_codes(st.phi, n, st.x)
         g_bound = max(fl.DEFAULT_BOUND, 1.2 * float(np.abs(v).max()))
         st.gamma = fl.make_flow(
@@ -330,10 +340,14 @@ def train(
         st.opt_gamma = init_adam(
             st.gamma.parameters(), cfg.beta1, cfg.beta2, cfg.adam_eps, cfg.weight_decay
         )
+        return _frozen_latents(st, v)
 
-    def _density_step(st: _ChartState, lr, phase, epoch):
+    def _density_step(st: _ChartState, lr, phase, epoch, latents=None):
+        """One gamma update on a bootstrap batch.  ``latents`` come from
+        :func:`_frozen_latents` while ``phi`` does not move (phases 2 and 5);
+        otherwise the batch goes through ``phi``."""
         boot = bootstrap_batch(st.members, cover, x_all, cfg.batch_size, st.rng)
-        v = fl.latent_codes(st.phi, n, boot.x)
+        v = fl.latent_codes(st.phi, n, boot.x) if latents is None else latents[boot.indices]
         loss, grads = density_nll(st.gamma, v)
         _check_finite(loss, phase, epoch, st.chart_id)
         _update(st.gamma, st.opt_gamma, grads, cfg.lambda_d, lr, phase, epoch, st.chart_id)
@@ -366,7 +380,7 @@ def train(
                     total += loss
                 _log(1, j, k, lr, pre=total / len(batches))
 
-        _build_gamma(st)
+        latents = _build_gamma(st)
 
         if e1 > 0:
             sched = LrSchedule(cfg.learning_rate, e1)
@@ -375,8 +389,9 @@ def train(
                 n_batches = max(1, math.ceil(st.members.size / cfg.batch_size))
                 total = 0.0
                 for _ in range(n_batches):
-                    total += _density_step(st, lr, 2, j)
+                    total += _density_step(st, lr, 2, j, latents)
                 _log(2, j, k, lr, density=total / n_batches)
+        latents = None
 
         if e2 + e3 > 0:
             sched = LrSchedule(cfg.learning_rate, e2 + e3)
@@ -412,10 +427,14 @@ def train(
                 batches = _epoch_batches(st.rng, st.members.size, cfg.batch_size)
                 for pos in batches:
                     batch = _chart_batch(st, pos, with_dref=True)
-                    m_loss, m_grads, parts = manifold_loss_parts(st.phi, n, batch, cfg.lambda_p)
-                    c_loss, c_grads = compatibility_loss(
-                        st.phi, n, batch, xhat, epoch=j, max_age=cfg.c_s
+                    m_loss, m_grads, parts, passes = manifold_loss_parts(
+                        st.phi, n, batch, cfg.lambda_p, keep_passes=True
                     )
+                    c_loss, c_grads = compatibility_loss(
+                        st.phi, n, batch, xhat, epoch=j, max_age=cfg.c_s, passes=passes
+                    )
+                    # the pass caches are large; free them before the density step
+                    passes = None
                     loss = m_loss + ramp * c_loss
                     _check_finite(loss, 4, j, k)
                     grads = [mg + ramp * cg for mg, cg in zip(m_grads, c_grads)]
@@ -432,12 +451,13 @@ def train(
     if e5 > 0:
         for st in states:
             sched = LrSchedule(cfg.learning_rate, e5)
+            latents = _frozen_latents(st)
             for j in range(1, e5 + 1):
                 lr = lr_at(sched, j - 1)
                 n_batches = max(1, math.ceil(st.members.size / cfg.batch_size))
                 total = 0.0
                 for _ in range(n_batches):
-                    total += _density_step(st, lr, 5, j)
+                    total += _density_step(st, lr, 5, j, latents)
                 _log(5, j, st.chart_id, lr, density=total / n_batches)
 
     charts = [
@@ -558,7 +578,10 @@ def _each(fn):
 
 
 def _indices(v) -> np.ndarray:
-    return np.asarray(v, dtype=int)
+    a = np.asarray(v)
+    if a.size and a.dtype.kind != "i":
+        raise ValueError(f"expected integer indices, got {a.dtype} values")
+    return a.astype(int)
 
 
 def _pack(a: np.ndarray) -> dict:
@@ -568,17 +591,23 @@ def _pack(a: np.ndarray) -> dict:
 
 
 def _unpack(entry) -> np.ndarray:
-    """Inverse of :func:`_pack`; a plain list (format_version 1) is read as decimal floats."""
+    """Inverse of :func:`_pack`; a plain list (format_version 1) is read as
+    decimal floats.  Non-finite values are rejected."""
     if isinstance(entry, list):
-        return np.asarray(entry, dtype=float)
-    shape = _decode(entry, "shape", lambda s: [int(d) for d in s])
-    try:
-        data = base64.b64decode(_decode(entry, "f8", str), validate=True)
-    except binascii.Error as exc:
-        raise _Malformed([], f"'f8' is not base64: {exc}") from exc
-    if len(data) != math.prod(shape) * 8:
-        raise _Malformed([], f"'f8' holds {len(data)} bytes, shape {shape} needs {math.prod(shape) * 8}")
-    return np.frombuffer(data, dtype="<f8").reshape(shape).astype(float)
+        a = np.asarray(entry, dtype=float)
+    else:
+        shape = _decode(entry, "shape", lambda s: [int(d) for d in s])
+        try:
+            data = base64.b64decode(_decode(entry, "f8", str), validate=True)
+        except binascii.Error as exc:
+            raise _Malformed([], f"'f8' is not base64: {exc}") from exc
+        if len(data) != math.prod(shape) * 8:
+            raise _Malformed([], f"'f8' holds {len(data)} bytes, shape {shape} needs {math.prod(shape) * 8}")
+        a = np.frombuffer(data, dtype="<f8").reshape(shape).astype(float)
+    if not np.all(np.isfinite(a)):
+        bad = np.argwhere(~np.isfinite(np.atleast_1d(a)))[0]
+        raise _Malformed([], f"non-finite value at index {tuple(int(i) for i in bad)}")
+    return a
 
 
 def _flow_to_dict(f: fl.FlowStack) -> dict:
@@ -707,12 +736,16 @@ def load(path) -> AtlasModel:
             f"{path}: format_version {version!r} unsupported (expected 1 or {CHECKPOINT_FORMAT_VERSION})"
         )
     try:
-        return AtlasModel(
+        fields = dict(
             dim=_decode(payload, "dim", int),
             latent_dim=_decode(payload, "latent_dim", int),
             charts=_decode(payload, "charts", _each(_chart_from_dict)),
             cover=_decode(payload, "cover", _cover_from_dict),
             config=_decode(payload, "config", lambda c: TrainConfig(**c)),
         )
+        for i, (cm, members) in enumerate(zip(fields["charts"], fields["cover"].charts)):
+            if not np.array_equal(cm.members, members):
+                raise _Malformed(["charts", i, "members"], f"differ from cover.charts[{i}]")
+        return AtlasModel(**fields)
     except ValueError as exc:
         raise CheckpointError(f"{path}: {exc}") from exc

@@ -90,19 +90,18 @@ def _normalize_spline(uw, uh, ud, bound):
     ph = _softmax(uh)
     w = 2.0 * bound * MIN_BIN_FRACTION + scale * pw
     h = 2.0 * bound * MIN_BIN_FRACTION + scale * ph
-    ew = np.concatenate([np.full(uw.shape[:-1] + (1,), -bound), -bound + np.cumsum(w, axis=-1)], axis=-1)
-    eh = np.concatenate([np.full(uh.shape[:-1] + (1,), -bound), -bound + np.cumsum(h, axis=-1)], axis=-1)
-    ew[..., -1] = bound
-    eh[..., -1] = bound
-    sig = 1.0 / (1.0 + np.exp(-(ud + _DERIV_OFFSET)))
-    d_int = (MIN_DERIVATIVE + np.logaddexp(0.0, ud + _DERIV_OFFSET)) / _DERIV_NORM
-    ones = np.ones(ud.shape[:-1] + (1,))
-    d = np.concatenate([ones, d_int, ones], axis=-1)
+    ew = np.empty(uw.shape[:-1] + (k + 1,))
+    eh = np.empty(ew.shape)
+    for edges, widths in ((ew, w), (eh, h)):
+        np.cumsum(widths, axis=-1, out=edges[..., 1:])
+        edges[..., 1:] -= bound
+        edges[..., 0] = -bound
+        edges[..., -1] = bound
+    u = ud + _DERIV_OFFSET
+    sig = 1.0 / (1.0 + np.exp(-u))
+    d = np.ones(ew.shape)
+    d[..., 1:-1] = (MIN_DERIVATIVE + np.logaddexp(0.0, u)) / _DERIV_NORM
     return pw, ph, w, h, ew, eh, d, sig
-
-
-def _gather(arr: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    return np.take_along_axis(arr, idx[..., None], axis=-1)[..., 0]
 
 
 def _bin_eval(xi, s, coef, dk, dk1, hk, yk):
@@ -124,18 +123,25 @@ def _spline_apply(uw, uh, ud, bound, t, inverse=False):
     and -log f'(x) at the preimage for the inverse.
     """
     pw, ph, w, h, ew, eh, d, sig = _normalize_spline(uw, uh, ud, bound)
+    k = uw.shape[-1]
     inside = np.abs(t) <= bound
     tc = np.clip(t, -bound, bound)
     if inverse:
         binno = (tc[..., None] >= eh[..., 1:-1]).sum(axis=-1)
     else:
         binno = (tc[..., None] >= ew[..., 1:-1]).sum(axis=-1)
-    xk = _gather(ew, binno)
-    yk = _gather(eh, binno)
-    wk = _gather(w, binno)
-    hk = _gather(h, binno)
-    dk = _gather(d, binno)
-    dk1 = _gather(d, binno + 1)
+    # flat positions of each element's bin in the (..., K+1) edge/derivative
+    # arrays and in the (..., K) width/height arrays
+    row = np.arange(binno.size)
+    bin_flat = binno.reshape(-1)
+    at_edge = row * (k + 1) + bin_flat
+    at_bin = row * k + bin_flat
+    xk = ew.reshape(-1)[at_edge].reshape(binno.shape)
+    yk = eh.reshape(-1)[at_edge].reshape(binno.shape)
+    dk = d.reshape(-1)[at_edge].reshape(binno.shape)
+    dk1 = d.reshape(-1)[at_edge + 1].reshape(binno.shape)
+    wk = w.reshape(-1)[at_bin].reshape(binno.shape)
+    hk = h.reshape(-1)[at_bin].reshape(binno.shape)
     s = hk / wk
     coef_num = dk1 + dk - 2.0 * s
     if inverse:
@@ -206,9 +212,9 @@ def _core_backward(cache, gy, gl):
     g_w = g_xk[..., None] * before + g_wk[..., None] * at
     g_h = g_yk[..., None] * before + g_hk[..., None] * at
     g_d = np.zeros(binno.shape + (k + 1,))
-    flat = np.arange(binno.size)
-    g_d.reshape(-1, k + 1)[flat, binno.reshape(-1)] += g_dk.reshape(-1)
-    g_d.reshape(-1, k + 1)[flat, binno.reshape(-1) + 1] += g_dk1.reshape(-1)
+    at_edge = np.arange(binno.size) * (k + 1) + binno.reshape(-1)
+    g_d.reshape(-1)[at_edge] += g_dk.reshape(-1)
+    g_d.reshape(-1)[at_edge + 1] += g_dk1.reshape(-1)
     return g_x, g_w, g_h, g_d
 
 
@@ -343,7 +349,8 @@ def _soft_cap_grad(capped: np.ndarray) -> np.ndarray:
 
 def _layer_raw(layer: CouplingLayer, x_id: np.ndarray):
     """Soft-capped raw spline parameter blocks (b, m, K / K / K-1) plus the
-    MLP cache."""
+    conditioner's cache: its MLP cache and the capped output ``theta``, of
+    which the three blocks are views (None for an unconditional layer)."""
     b = x_id.shape[0]
     m = layer.tr_idx.size
     k = layer.n_bins
@@ -354,7 +361,7 @@ def _layer_raw(layer: CouplingLayer, x_id: np.ndarray):
         return _soft_cap(uw), _soft_cap(uh), _soft_cap(ud), None
     out, mlp_cache = mlp_forward_cached(layer.conditioner, x_id / layer.bound)
     theta = _soft_cap(out.reshape(b, m, 3 * k - 1))
-    return theta[..., :k], theta[..., k : 2 * k], theta[..., 2 * k :], mlp_cache
+    return theta[..., :k], theta[..., k : 2 * k], theta[..., 2 * k :], (mlp_cache, theta)
 
 
 def coupling_forward(layer: CouplingLayer, x):
@@ -368,7 +375,7 @@ def coupling_forward_cached(layer: CouplingLayer, x: np.ndarray):
     if x.shape[-1] != layer.dim:
         raise ValueError(f"input dim {x.shape[-1]} != layer dim {layer.dim}")
     x_id = x[:, layer.id_idx]
-    uw, uh, ud, mlp_cache = _layer_raw(layer, x_id)
+    uw, uh, ud, cond_cache = _layer_raw(layer, x_id)
     t = x[:, layer.tr_idx]
     yt, ld_elem, sp_cache = _spline_apply(uw, uh, ud, layer.bound, t)
     is_identity = not (uw.any() or uh.any() or ud.any())
@@ -378,13 +385,12 @@ def coupling_forward_cached(layer: CouplingLayer, x: np.ndarray):
     else:
         y[:, layer.tr_idx] = yt
         ld = ld_elem.sum(axis=-1)
-    cache = (mlp_cache, sp_cache)
-    return y, ld, cache
+    return y, ld, (cond_cache, sp_cache)
 
 
 def coupling_forward_vjp(layer: CouplingLayer, cache, gy: np.ndarray, glogdet):
     """Cotangents on (y, logdet) -> (grad params, grad x)."""
-    mlp_cache, sp_cache = cache
+    sp_cache = cache[1]
     gl = np.zeros(sp_cache["xi"].shape) if glogdet is None else np.broadcast_to(
         np.asarray(glogdet, dtype=float)[:, None], sp_cache["xi"].shape
     )
@@ -405,7 +411,7 @@ def coupling_inverse_cached(layer: CouplingLayer, y: np.ndarray):
     if y.shape[-1] != layer.dim:
         raise ValueError(f"input dim {y.shape[-1]} != layer dim {layer.dim}")
     y_id = y[:, layer.id_idx]
-    uw, uh, ud, mlp_cache = _layer_raw(layer, y_id)
+    uw, uh, ud, cond_cache = _layer_raw(layer, y_id)
     t = y[:, layer.tr_idx]
     xt, ld_elem, sp_cache = _spline_apply(uw, uh, ud, layer.bound, t, inverse=True)
     is_identity = not (uw.any() or uh.any() or ud.any())
@@ -415,12 +421,12 @@ def coupling_inverse_cached(layer: CouplingLayer, y: np.ndarray):
     else:
         x[:, layer.tr_idx] = xt
         ld = ld_elem.sum(axis=-1)
-    return x, ld, (mlp_cache, sp_cache)
+    return x, ld, (cond_cache, sp_cache)
 
 
 def coupling_inverse_vjp(layer: CouplingLayer, cache, gx: np.ndarray):
     """Cotangent on x (values only) -> (grad params, grad y)."""
-    mlp_cache, sp_cache = cache
+    sp_cache = cache[1]
     g_t, g_uw, g_uh, g_ud = _spline_inverse_vjp(sp_cache, gx[:, layer.tr_idx])
     gy = gx.copy()
     gy[:, layer.tr_idx] = g_t
@@ -428,17 +434,18 @@ def coupling_inverse_vjp(layer: CouplingLayer, cache, gx: np.ndarray):
 
 
 def _assemble_param_grads(layer, cache, g_uw, g_uh, g_ud, g_full):
-    mlp_cache, sp_cache = cache
+    cond_cache, sp_cache = cache
     # chain through the soft cap on the raw parameters
-    g_uw = g_uw * _soft_cap_grad(sp_cache["uw"])
-    g_uh = g_uh * _soft_cap_grad(sp_cache["uh"])
-    g_ud = g_ud * _soft_cap_grad(sp_cache["ud"])
     if layer.conditioner is None:
-        grads = [g_uw.sum(axis=0), g_uh.sum(axis=0), g_ud.sum(axis=0)]
+        grads = [
+            (g * _soft_cap_grad(sp_cache[key])).sum(axis=0)
+            for g, key in ((g_uw, "uw"), (g_uh, "uh"), (g_ud, "ud"))
+        ]
         return grads, g_full
-    b = g_uw.shape[0]
-    theta_cot = np.concatenate([g_uw, g_uh, g_ud], axis=-1).reshape(b, -1)
-    grads, g_in = mlp_vjp_cached(layer.conditioner, mlp_cache, theta_cot)
+    mlp_cache, theta = cond_cache
+    theta_cot = np.concatenate([g_uw, g_uh, g_ud], axis=-1)
+    theta_cot *= _soft_cap_grad(theta)
+    grads, g_in = mlp_vjp_cached(layer.conditioner, mlp_cache, theta_cot.reshape(theta.shape[0], -1))
     g_full[:, layer.id_idx] += g_in / layer.bound
     return grads, g_full
 

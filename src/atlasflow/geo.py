@@ -61,7 +61,10 @@ def knn_graph(points: np.ndarray, k: int) -> NeighborGraph:
 
 def geodesic_matrix(graph: NeighborGraph) -> np.ndarray:
     """All-pairs shortest-path distances (repeated Dijkstra)."""
-    d = shortest_path(graph.adjacency, method="D", directed=False)
+    # knn_graph stores every edge in both directions already, so a directed
+    # search finds the same paths; directed=False would make SciPy scan each
+    # edge twice
+    d = shortest_path(graph.adjacency, method="D", directed=True)
     if np.any(np.isinf(d)):
         i, j = np.argwhere(np.isinf(d))[0]
         raise ConnectivityError(f"graph disconnected: node {j} unreachable from node {i}")

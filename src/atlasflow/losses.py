@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,6 +59,16 @@ class Batch:
         return self.x.shape[0]
 
 
+class Passes(NamedTuple):
+    """A flow's forward pass on a batch and the inverse pass of its
+    projection, with the caches their VJPs read."""
+
+    z: np.ndarray
+    fwd_caches: list
+    xr: np.ndarray
+    inv_caches: list
+
+
 @dataclass
 class ExpectedPoints:
     """Per-point average of chart reconstructions, stamped with the epoch it
@@ -84,13 +95,13 @@ def pretraining_loss(flow: FlowStack, batch: Batch):
 
 def reconstruction_loss(flow: FlowStack, n: int, batch: Batch):
     """Mean squared distance between points and their chart projections."""
-    loss, grads, _ = _manifold_terms(flow, n, batch, want_recon=True, want_dist=False)
+    loss, grads, _, _ = _manifold_terms(flow, n, batch, want_recon=True, want_dist=False)
     return loss, grads
 
 
 def pairwise_distance_loss(flow: FlowStack, n: int, batch: Batch):
     """Mean squared mismatch between latent distances and reference geodesics."""
-    loss, grads, _ = _manifold_terms(flow, n, batch, want_recon=False, want_dist=True)
+    loss, grads, _, _ = _manifold_terms(flow, n, batch, want_recon=False, want_dist=True)
     return loss, grads
 
 
@@ -100,26 +111,32 @@ def manifold_loss(flow: FlowStack, n: int, batch: Batch, lam: float):
     return loss, grads
 
 
-def manifold_loss_parts(flow: FlowStack, n: int, batch: Batch, lam: float, all_parts: bool = False):
+def manifold_loss_parts(
+    flow: FlowStack, n: int, batch: Batch, lam: float, all_parts: bool = False, keep_passes: bool = False
+):
     """Like :func:`manifold_loss` but also reports the two components.
 
     ``all_parts`` forces both component values to be evaluated even when one
     carries zero weight (its gradient is still skipped); the trainer uses
-    this so loss curves are complete.
+    this so loss curves are complete.  ``keep_passes`` appends the batch's
+    :class:`Passes` (None when no reconstruction was computed) to the
+    result, for :func:`compatibility_loss` on the same batch.
     """
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"loss weight {lam} outside [0, 1]")
     want_recon = lam < 1.0
     want_dist = lam > 0.0
     if want_recon and want_dist:
-        total, grads, parts = _manifold_terms(flow, n, batch, True, True, lam)
+        total, grads, parts, passes = _manifold_terms(flow, n, batch, True, True, lam)
     elif want_dist:
-        dist, grads, _ = _manifold_terms(flow, n, batch, False, True)
+        dist, grads, _, passes = _manifold_terms(flow, n, batch, False, True)
         recon = _reconstruction_value(flow, n, batch) if all_parts else 0.0
         total, parts = dist, {"recon": recon, "dist": dist}
     else:
-        recon, grads, _ = _manifold_terms(flow, n, batch, True, False)
+        recon, grads, _, passes = _manifold_terms(flow, n, batch, True, False)
         total, parts = recon, {"recon": recon, "dist": 0.0}
+    if keep_passes:
+        return total, grads, parts, passes
     return total, grads, parts
 
 
@@ -135,13 +152,14 @@ def _manifold_terms(flow, n, batch, want_recon, want_dist, lam=None):
 
     When ``lam`` is given the returned loss/grads are the lam-weighted
     combination; otherwise they belong to whichever single term was asked
-    for.
+    for.  The last result is the batch's :class:`Passes`, or None when the
+    reconstruction term was not asked for.
     """
     b = batch.size
     x = batch.x
     z, _, fwd_caches = stack_forward_cached(flow, x)
     gz = np.zeros_like(z)
-    grads = None
+    grads = passes = None
     recon_val = dist_val = 0.0
 
     w_recon = (1.0 - lam) if lam is not None else 1.0
@@ -155,6 +173,7 @@ def _manifold_terms(flow, n, batch, want_recon, want_dist, lam=None):
         gzp, inv_grads = stack_inverse_vjp(flow, inv_caches, gxr)
         gz[:, :n] += gzp[:, :n]
         grads = inv_grads
+        passes = Passes(z, fwd_caches, xr, inv_caches)
 
     if want_dist:
         if batch.d_ref is None:
@@ -181,7 +200,7 @@ def _manifold_terms(flow, n, batch, want_recon, want_dist, lam=None):
         total = dist_val
     else:
         total = recon_val
-    return total, grads, {"recon": recon_val, "dist": dist_val}
+    return total, grads, {"recon": recon_val, "dist": dist_val}, passes
 
 
 def expected_points(
@@ -211,11 +230,14 @@ def compatibility_loss(
     expected: ExpectedPoints,
     epoch: int | None = None,
     max_age: int | None = None,
+    passes: Passes | None = None,
 ):
     """Mean squared gap between this chart's reconstruction and the expected
     point, over the overlap points (multiplicity >= 2) of the batch.
 
     The expected points are constants: no gradient flows through them.
+    ``passes`` are the forward and reconstruction passes of ``flow`` on
+    ``batch.x`` when the caller already ran them; they are then reused.
     """
     if epoch is not None and max_age is not None and epoch - expected.epoch >= max_age:
         raise StaleExpectedPointsError(
@@ -227,8 +249,11 @@ def compatibility_loss(
     count = int(overlap.sum())
     if count == 0:
         return 0.0, [np.zeros_like(p) for p in flow.parameters()]
-    z, _, fwd_caches = stack_forward_cached(flow, batch.x)
-    xr, _, inv_caches = stack_inverse_cached(flow, project(z, n))
+    if passes is None:
+        z, _, fwd_caches = stack_forward_cached(flow, batch.x)
+        xr, _, inv_caches = stack_inverse_cached(flow, project(z, n))
+    else:
+        z, fwd_caches, xr, inv_caches = passes
     diff = (xr - expected.xhat[batch.indices]) * overlap[:, None]
     loss = float((diff * diff).sum() / count)
     gxr = 2.0 * diff / count

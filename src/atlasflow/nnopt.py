@@ -111,7 +111,8 @@ def mlp_forward_cached(params: MlpParams, x: np.ndarray):
     pre = []
     n_layers = len(params.weights)
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        z = h @ w + b
+        z = h @ w
+        z += b
         pre.append(z)
         h = z if i == n_layers - 1 else _activate(z, params.activation)
         acts.append(h)
@@ -154,10 +155,14 @@ def mlp_vjp_cached(params: MlpParams, cache, cotangent: np.ndarray):
 
 @dataclass
 class AdamState:
-    """Bias-corrected Adam moments plus decoupled weight decay."""
+    """Bias-corrected Adam moments plus decoupled weight decay.
 
-    m: list[np.ndarray]
-    v: list[np.ndarray]
+    ``m`` and ``v`` are flat vectors over the parameter arrays concatenated
+    in order.
+    """
+
+    m: np.ndarray
+    v: np.ndarray
     step: int = 0
     beta1: float = 0.9
     beta2: float = 0.999
@@ -172,9 +177,10 @@ def init_adam(
     eps: float = 1e-8,
     weight_decay: float = 0.0,
 ) -> AdamState:
+    size = sum(np.size(p) for p in params)
     return AdamState(
-        m=[np.zeros_like(p) for p in params],
-        v=[np.zeros_like(p) for p in params],
+        m=np.zeros(size),
+        v=np.zeros(size),
         beta1=beta1,
         beta2=beta2,
         eps=eps,
@@ -189,26 +195,46 @@ def adam_step(
     lr: float,
 ) -> tuple[AdamState, list[np.ndarray]]:
     """One Adam update.  Weight decay is decoupled: applied to the parameters
-    directly, before the moment-based update."""
+    directly, before the moment-based update.
+
+    The update runs once over all arrays concatenated; every element sees
+    the same operations in the same order as a per-array update would, and
+    the new parameters come back as views in the input shapes.
+    """
     if len(params) != len(grads):
         raise ValueError("params/grads length mismatch")
-    for i, g in enumerate(grads):
-        if not np.all(np.isfinite(g)):
-            bad = np.argwhere(~np.isfinite(np.atleast_1d(g)))[0]
-            raise NumericError(f"non-finite gradient in array {i} at index {tuple(bad)}")
+    g = np.concatenate([np.ravel(a) for a in grads], dtype=float)
+    if not np.isfinite(g).all():
+        for i, a in enumerate(grads):
+            if not np.all(np.isfinite(a)):
+                bad = np.argwhere(~np.isfinite(np.atleast_1d(a)))[0]
+                raise NumericError(f"non-finite gradient in array {i} at index {tuple(int(j) for j in bad)}")
+    p = np.concatenate([np.ravel(a) for a in params], dtype=float)
     t = state.step + 1
     b1, b2 = state.beta1, state.beta2
     c1 = 1.0 - b1**t
     c2 = 1.0 - b2**t
+    if state.weight_decay:
+        p *= 1.0 - lr * state.weight_decay
+    state.m *= b1
+    state.m += (1.0 - b1) * g
+    g *= g
+    g *= 1.0 - b2
+    state.v *= b2
+    state.v += g
+    # p - lr * (m / c1) / (sqrt(v / c2) + eps)
+    step = state.m / c1
+    step *= lr
+    denom = state.v / c2
+    np.sqrt(denom, out=denom)
+    denom += state.eps
+    step /= denom
+    p -= step
     new_params = []
-    for i, (p, g) in enumerate(zip(params, grads)):
-        if state.weight_decay:
-            p = p * (1.0 - lr * state.weight_decay)
-        state.m[i] = b1 * state.m[i] + (1.0 - b1) * g
-        state.v[i] = b2 * state.v[i] + (1.0 - b2) * (g * g)
-        m_hat = state.m[i] / c1
-        v_hat = state.v[i] / c2
-        new_params.append(p - lr * m_hat / (np.sqrt(v_hat) + state.eps))
+    pos = 0
+    for a in params:
+        new_params.append(p[pos : pos + np.size(a)].reshape(np.shape(a)))
+        pos += np.size(a)
     state.step = t
     return state, new_params
 

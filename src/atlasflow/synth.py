@@ -226,7 +226,9 @@ def kde_density(
         raise ValueError("bandwidth must be positive")
     log_norm = -0.5 * d * math.log(TWO_PI) - np.log(h).sum()
     out = np.empty(queries.shape[0])
-    step = 512
+    # chunks of about 2**18 floats per (chunk, N, d) temporary; each query
+    # row is computed on its own, so the chunk size does not change the result
+    step = max(1, 2**18 // (n * d))
     for lo in range(0, queries.shape[0], step):
         q = queries[lo : lo + step]
         z = (q[:, None, :] - ref[None, :, :]) / h
@@ -278,12 +280,14 @@ def load_csv(path) -> PointCloud:
         raise DataError(f"{path}: no data rows")
     try:
         data = np.asarray(rows, dtype=float)
-        points = data[:, x_cols]
-    except (ValueError, IndexError) as exc:
+    except ValueError:
+        data = None
+    if data is None or data.shape[1] != len(header):
         raise DataError(
             f"{path}: line {_first_ragged_line(path, len(header))}: row width differs from "
             f"the header's {len(header)} columns"
-        ) from exc
+        )
+    points = data[:, x_cols]
     params = data[:, t_cols] if t_cols else None
     return PointCloud(points=points, params=params)
 

@@ -1,3 +1,4 @@
+import base64
 import csv
 import hashlib
 import json
@@ -247,6 +248,13 @@ def _layer(payload, flow="phi"):
     return payload["charts"][0][flow]["layers"][0]
 
 
+def _nan_block(entry):
+    """Set the first value of a base64 parameter block to NaN."""
+    values = np.frombuffer(base64.b64decode(entry["f8"]), dtype="<f8").copy()
+    values[0] = np.nan
+    entry["f8"] = base64.b64encode(values.tobytes()).decode("ascii")
+
+
 class TestMalformedCheckpoint:
     @pytest.mark.parametrize("make, detail", [
         pytest.param(lambda text: b'{"format_version": 1}', "missing key 'dim'", id="v1-stub"),
@@ -271,6 +279,13 @@ class TestMalformedCheckpoint:
                      "chart weights c_k sum to", id="weights-not-normalized"),
         pytest.param(_ckpt_edited(lambda p: p["cover"]["charts"][0].append(10**6)),
                      "cover: chart 0 indexes a point outside", id="cover-index"),
+        pytest.param(_ckpt_edited(lambda p: p["charts"][0].update(members=[1.5, 1000000000])),
+                     "charts[0].members: expected integer indices", id="members-not-integer"),
+        pytest.param(_ckpt_edited(lambda p: p["charts"][1]["members"].pop()),
+                     "charts[1].members: differ from cover.charts[1]", id="members-differ"),
+        pytest.param(_ckpt_edited(lambda p: _nan_block(_layer(p)["conditioner"]["biases"][1])),
+                     "charts[0].phi.layers[0].conditioner.biases[1]: non-finite value at index (0,)",
+                     id="non-finite-parameter"),
     ])
     def test_malformed_checkpoint_exit_5(self, tiny_checkpoint, tmp_path, capsys, make, detail):
         ckpt, _ = tiny_checkpoint
@@ -285,12 +300,13 @@ class TestMalformedCheckpoint:
 class TestBadPointCsv:
     @pytest.mark.parametrize("content, detail", [
         (b"x0,x1,x2\n1,2,3\n4,5\n6,7,8\n", "line 3: row width differs"),
+        (b"x0,x1\n1,2,3\n4,5,6\n", "line 2: row width differs"),
         (b"x0,x1,x2\n1,2,3\n\n4,5,6\n7,eight,9\n", "line 5: could not convert string to float"),
         (b"x0,x1,x2\n", "no data rows"),
         (b"a,b,c\n1,2,3\n", "no coordinate columns"),
         (b"", "no coordinate columns"),
         (None, "cannot read point CSV"),
-    ], ids=["ragged", "non-numeric", "header-only", "no-x-header", "empty", "missing-file"])
+    ], ids=["ragged", "wider-than-header", "non-numeric", "header-only", "no-x-header", "empty", "missing-file"])
     def test_unusable_csv_exit_8(self, tmp_path, capsys, content, detail):
         bad = tmp_path / "points.csv"
         if content is not None:

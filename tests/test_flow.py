@@ -248,6 +248,15 @@ class TestProjectReconstruct:
         twice = fl.reconstruct(f, 2, once)
         assert np.abs(twice - once).max() < 1e-8
 
+    def test_latent_codes_rows_independent(self):
+        # the trainer reads density-step latents from one pass over a chart
+        f = _perturbed(fl.make_flow(3, 13, np.random.default_rng(6)), 0.3, 7)
+        rng = np.random.default_rng(8)
+        x = rng.normal(size=(1500, 3)) * 2.0
+        idx = rng.choice(1500, size=256, replace=True)
+        assert np.unique(idx).size < idx.size
+        np.testing.assert_array_equal(fl.latent_codes(f, 2, x)[idx], fl.latent_codes(f, 2, x[idx]))
+
 
 class TestEmbeddingGram:
     def test_identity_stack_zero(self):

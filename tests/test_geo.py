@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import shortest_path
 
 from atlasflow import geo
 from atlasflow.errors import ConnectivityError, NumericError
@@ -91,6 +92,19 @@ class TestGeodesics:
         assert np.all(np.diag(d) == 0)
         euclid = np.linalg.norm(pts[:, None] - pts[None, :], axis=2)
         assert np.all(d >= euclid - 1e-9)
+
+    def test_one_way_search_matches_undirected(self):
+        # lattices give many tied paths whose lengths round differently by
+        # summation order; duplicates give points reached only through others
+        rng = np.random.default_rng(5)
+        grid2 = np.stack(np.meshgrid(np.arange(14.0), np.arange(11.0)), axis=-1).reshape(-1, 2)
+        grid3 = np.stack(np.meshgrid(*[np.arange(6.0)] * 3), axis=-1).reshape(-1, 3)
+        cloud = rng.normal(size=(150, 3))
+        dup = np.concatenate([cloud, cloud[rng.choice(150, size=30)]])
+        for pts, k in ((grid2, 4), (grid2, 8), (0.1 * grid3, 6), (dup, 5), (rng.normal(size=(300, 2)), 7)):
+            g = geo.knn_graph(pts, k)
+            d = shortest_path(g.adjacency, method="D", directed=False)
+            np.testing.assert_array_equal(geo.geodesic_matrix(g), np.minimum(d, d.T))
 
 
 class TestClassicalMds:

@@ -237,6 +237,36 @@ class TestCompatibility:
         xhat = lo.ExpectedPoints(xhat=rng.normal(size=(5, 3)), epoch=1)
         _fd_check(f, lambda: lo.compatibility_loss(f, 2, batch, xhat))
 
+    @pytest.mark.parametrize("lam", [0.1, 0.0])
+    def test_shared_passes_bit_identical(self, lam):
+        f = _perturbed_flow(3, seed=24)
+        rng = np.random.default_rng(25)
+        x = rng.normal(size=(9, 3))
+        batch = lo.Batch(
+            indices=np.arange(9),
+            x=x,
+            d_ref=np.linalg.norm(x[:, None] - x[None, :], axis=2),
+            multiplicity=np.array([2, 1, 3, 2, 1, 1, 2, 2, 1]),
+        )
+        xhat = lo.ExpectedPoints(xhat=rng.normal(size=(9, 3)), epoch=1)
+        *manifold, passes = lo.manifold_loss_parts(f, 2, batch, lam, keep_passes=True)
+        shared = lo.compatibility_loss(f, 2, batch, xhat, passes=passes)
+        alone = lo.compatibility_loss(f, 2, batch, xhat)
+        assert shared[0] == alone[0] > 0
+        for got, want in zip(shared[1], alone[1]):
+            np.testing.assert_array_equal(got, want)
+        plain = lo.manifold_loss_parts(f, 2, batch, lam)
+        assert manifold[0] == plain[0] and manifold[2] == plain[2]
+        for got, want in zip(manifold[1], plain[1]):
+            np.testing.assert_array_equal(got, want)
+
+    def test_no_passes_without_reconstruction(self):
+        f = _perturbed_flow(3, seed=26)
+        x = np.random.default_rng(27).normal(size=(4, 3))
+        batch = lo.Batch(indices=np.arange(4), x=x, d_ref=np.ones((4, 4)) - np.eye(4))
+        *_, passes = lo.manifold_loss_parts(f, 2, batch, 1.0, keep_passes=True)
+        assert passes is None
+
 
 class TestDensityNll:
     def test_identity_1d_at_zero(self):

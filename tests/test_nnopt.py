@@ -118,6 +118,12 @@ def test_adam_nonfinite_gradient_reports_index():
     bad = [np.array([0.0, np.nan, 0.0])]
     with pytest.raises(NumericError, match="index"):
         nnopt.adam_step(state, params, bad, lr=0.1)
+    params = [np.zeros(2), np.zeros((2, 3))]
+    state = nnopt.init_adam(params)
+    bad = [np.zeros(2), np.array([[0.0, 0.0, 0.0], [0.0, np.inf, 0.0]])]
+    with pytest.raises(NumericError, match=r"array 1 at index \(1, 1\)"):
+        nnopt.adam_step(state, params, bad, lr=0.1)
+    assert state.step == 0 and not state.m.any()
 
 
 def test_adam_deterministic():
@@ -129,6 +135,43 @@ def test_adam_deterministic():
     _, a = nnopt.adam_step(s1, params, grads, 0.01)
     _, b = nnopt.adam_step(s2, params, grads, 0.01)
     np.testing.assert_array_equal(a[0], b[0])
+
+
+def _adam_reference(m, v, t, params, grads, lr, b1=0.9, b2=0.999, eps=1e-8, weight_decay=0.0):
+    """Per-array Adam update, the loop the flat update must reproduce bit for bit."""
+    c1 = 1.0 - b1**t
+    c2 = 1.0 - b2**t
+    new_params = []
+    for i, (p, g) in enumerate(zip(params, grads)):
+        if weight_decay:
+            p = p * (1.0 - lr * weight_decay)
+        m[i] = b1 * m[i] + (1.0 - b1) * g
+        v[i] = b2 * v[i] + (1.0 - b2) * (g * g)
+        m_hat = m[i] / c1
+        v_hat = v[i] / c2
+        new_params.append(p - lr * m_hat / (np.sqrt(v_hat) + eps))
+    return new_params
+
+
+def test_adam_flat_update_matches_per_array_loop():
+    rng = np.random.default_rng(7)
+    shapes = [(5, 4), (4,), (4, 3), (3,), (1, 1)]
+    params = [rng.normal(size=s) for s in shapes]
+    state = nnopt.init_adam(params, weight_decay=1e-4)
+    ref_params = [p.copy() for p in params]
+    ref_m = [np.zeros(s) for s in shapes]
+    ref_v = [np.zeros(s) for s in shapes]
+    for t in range(1, 6):
+        grads = [rng.normal(size=s) * 10.0**rng.integers(-6, 2) for s in shapes]
+        lr = 0.0015 * (1.0 + math.cos(math.pi * t / 6))
+        state, params = nnopt.adam_step(state, params, grads, lr)
+        ref_params = _adam_reference(ref_m, ref_v, t, ref_params, grads, lr, weight_decay=1e-4)
+        assert [p.shape for p in params] == shapes
+        for got, want in zip(params, ref_params):
+            np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(state.m, np.concatenate([a.ravel() for a in ref_m]))
+        np.testing.assert_array_equal(state.v, np.concatenate([a.ravel() for a in ref_v]))
+    assert state.step == 5
 
 
 def test_clip_scales_when_over():

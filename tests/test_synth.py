@@ -109,6 +109,20 @@ def test_kde_errors():
         synth.kde_density(np.zeros((2, 2)), np.zeros((1, 3)), bandwidth=1.0)
 
 
+def test_kde_chunks_match_one_chunk():
+    rng = np.random.default_rng(6)
+    n, d = 3000, 3
+    ref = rng.normal(size=(n, d))
+    queries = rng.normal(size=(100, d)) * 1.5
+    h = synth.scott_bandwidth(ref)
+    # every query in one chunk, with kde_density's per-row arithmetic
+    z = (queries[:, None, :] - ref[None, :, :]) / h
+    logk = (-0.5 * d * math.log(synth.TWO_PI) - np.log(h).sum()) - 0.5 * (z * z).sum(axis=2)
+    m = logk.max(axis=1)
+    expected = np.exp(m) * np.exp(logk - m[:, None]).sum(axis=1) / n
+    np.testing.assert_array_equal(synth.kde_density(ref, queries), expected)
+
+
 def test_csv_round_trip(tmp_path):
     spec = synth.ManifoldSpec("torus", 50, noise_sigma=0.1, seed=9)
     cloud = synth.gen_torus(spec)
