@@ -481,7 +481,7 @@ def sample(model: AtlasModel, count: int, rng: np.random.Generator):
         if rows.size == 0:
             continue
         w = rng.normal(size=(rows.size, model.latent_dim))
-        v, _, _ = fl.stack_inverse_cached(chart.gamma, w)
+        v, _ = fl.stack_inverse(chart.gamma, w)
         out[rows] = fl.embed_latent(chart.phi, v)
     return PointCloud(points=out), labels
 
@@ -525,8 +525,8 @@ def log_density(
     latents = []
     for k, cm in enumerate(model.charts):
         # fl.reconstruct, keeping the latent codes for the density terms below
-        z, _, _ = fl.stack_forward_cached(cm.phi, x_arr)
-        xr, _, _ = fl.stack_inverse_cached(cm.phi, fl.project(z, n))
+        z, _ = fl.stack_forward(cm.phi, x_arr)
+        xr, _ = fl.stack_inverse(cm.phi, fl.project(z, n))
         recon_err[k] = np.linalg.norm(xr - x_arr, axis=1)
         latents.append(z[:, :n])
     include = recon_err <= thresh

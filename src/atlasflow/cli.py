@@ -6,7 +6,9 @@ bad config file), 3 degenerate lens, 4 training divergence, 5 unreadable,
 malformed or version-mismatched checkpoint, 6 chart-label mismatch between
 checkpoints, 7 unusable cover (unreadable or malformed cover file, or a cover
 that leaves points uncovered), 8 unusable point CSV (missing, ragged,
-non-numeric, or without x* columns or data rows).
+non-numeric, or without x* columns or data rows), 9 numerical failure (a
+chart whose Isomap embedding has a non-positive top eigenvalue, a singular
+embedding Gram matrix in density evaluation), 10 disconnected neighbor graph.
 
 Config precedence: command-line flags override the --config JSON file, which
 overrides the preset defaults (torus values unless --preset trefoil).
@@ -28,11 +30,13 @@ from . import flow as fl
 from .errors import (
     CheckpointError,
     ConfigError,
+    ConnectivityError,
     CoverError,
     DataError,
     DegenerateLensError,
     DivergenceError,
     LabelMismatchError,
+    NumericError,
 )
 
 _EXIT_CODES = [
@@ -43,6 +47,8 @@ _EXIT_CODES = [
     (LabelMismatchError, 6),
     (CoverError, 7),
     (DataError, 8),
+    (NumericError, 9),
+    (ConnectivityError, 10),
 ]
 
 _CONFIG_KEYS = {

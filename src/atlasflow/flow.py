@@ -12,6 +12,16 @@ directly; the inverse VJP uses the implicit function theorem, so only
 first-order partials of the forward map are ever needed:
 
     x = f^{-1}(y; theta)  =>  dx/dy = 1/f'(x),  dx/dtheta = -f_theta(x)/f'(x).
+
+A VJP reads the spline and MLP caches of every layer of the pass it follows.
+``stack_forward_cached``/``stack_inverse_cached`` keep them by default and
+return one per layer; that is the training path.  ``stack_forward`` and
+``stack_inverse`` are the same loop with ``keep_caches=False``: each layer's
+cache is dropped as soon as the layer returns, so a pass holds at most one
+layer's intermediates.  Every value-only pass (``latent_codes``,
+``reconstruct``, ``embed_latent``, ``embedding_gram_logdet``, and sampling and
+density evaluation) goes through them.  Both paths run the same floating-point
+operations in the same order, so their outputs are bit-identical.
 """
 
 from __future__ import annotations
@@ -472,9 +482,6 @@ class FlowStack:
         if pos != len(arrays):
             raise ValueError("parameter count mismatch")
 
-    def zero_grads(self) -> list[np.ndarray]:
-        return [np.zeros_like(p) for p in self.parameters()]
-
 
 def _coupling_masks(dim: int, n_layers: int):
     """Identity/transform index pairs, one per layer.
@@ -529,18 +536,23 @@ def make_flow(
 
 
 def stack_forward(f: FlowStack, x):
-    z, ld, _ = stack_forward_cached(f, np.atleast_2d(np.asarray(x, dtype=float)))
+    """Forward values and log-determinants, keeping no VJP caches."""
+    z, ld, _ = stack_forward_cached(f, np.atleast_2d(np.asarray(x, dtype=float)), keep_caches=False)
     if np.asarray(x).ndim == 1:
         return z[0], float(ld[0])
     return z, ld
 
 
-def stack_forward_cached(f: FlowStack, x: np.ndarray):
+def stack_forward_cached(f: FlowStack, x: np.ndarray, keep_caches: bool = True):
+    """(z, logdet, per-layer caches); the caches are all None unless
+    ``keep_caches``."""
     caches = [None] * len(f.layers)
     h = x
     ld = np.zeros(x.shape[0])
     for i, layer in enumerate(f.layers):
         h, ldi, caches[i] = coupling_forward_cached(layer, h)
+        if not keep_caches:
+            caches[i] = None
         ld = ld + ldi
     return h, ld, caches
 
@@ -558,18 +570,23 @@ def stack_forward_vjp(f: FlowStack, caches, gz: np.ndarray, glogdet=None):
 
 
 def stack_inverse(f: FlowStack, z):
-    x, ld, _ = stack_inverse_cached(f, np.atleast_2d(np.asarray(z, dtype=float)))
+    """Inverse values and log-determinants, keeping no VJP caches."""
+    x, ld, _ = stack_inverse_cached(f, np.atleast_2d(np.asarray(z, dtype=float)), keep_caches=False)
     if np.asarray(z).ndim == 1:
         return x[0], float(ld[0])
     return x, ld
 
 
-def stack_inverse_cached(f: FlowStack, z: np.ndarray):
+def stack_inverse_cached(f: FlowStack, z: np.ndarray, keep_caches: bool = True):
+    """(x, logdet, per-layer caches); the caches are all None unless
+    ``keep_caches``."""
     caches = [None] * len(f.layers)
     h = z
     ld = np.zeros(z.shape[0])
     for i in range(len(f.layers) - 1, -1, -1):
         h, ldi, caches[i] = coupling_inverse_cached(f.layers[i], h)
+        if not keep_caches:
+            caches[i] = None
         ld = ld + ldi
     return h, ld, caches
 
@@ -590,10 +607,6 @@ def add_grads(a: list[np.ndarray], b: list[np.ndarray]) -> list[np.ndarray]:
     return [x + y for x, y in zip(a, b)]
 
 
-def scale_grads(a: list[np.ndarray], c: float) -> list[np.ndarray]:
-    return [c * x for x in a]
-
-
 def project(v: np.ndarray, n: int) -> np.ndarray:
     """Keep the first n coordinates, zero the rest."""
     v = np.asarray(v, dtype=float)
@@ -608,8 +621,8 @@ def project(v: np.ndarray, n: int) -> np.ndarray:
 def reconstruct(f: FlowStack, n: int, x):
     """Project onto the learned chart surface: f^{-1}(Proj(f(x)))."""
     x_arr = np.atleast_2d(np.asarray(x, dtype=float))
-    z, _, _ = stack_forward_cached(f, x_arr)
-    out, _, _ = stack_inverse_cached(f, project(z, n))
+    z, _ = stack_forward(f, x_arr)
+    out, _ = stack_inverse(f, project(z, n))
     if np.asarray(x).ndim == 1:
         return out[0]
     return out
@@ -618,7 +631,7 @@ def reconstruct(f: FlowStack, n: int, x):
 def latent_codes(f: FlowStack, n: int, x) -> np.ndarray:
     """First n coordinates of the forward map."""
     x_arr = np.atleast_2d(np.asarray(x, dtype=float))
-    z, _, _ = stack_forward_cached(f, x_arr)
+    z, _ = stack_forward(f, x_arr)
     out = z[:, :n]
     if np.asarray(x).ndim == 1:
         return out[0]
@@ -630,7 +643,7 @@ def embed_latent(f: FlowStack, v) -> np.ndarray:
     v_arr = np.atleast_2d(np.asarray(v, dtype=float))
     padded = np.zeros((v_arr.shape[0], f.dim))
     padded[:, : v_arr.shape[1]] = v_arr
-    out, _, _ = stack_inverse_cached(f, padded)
+    out, _ = stack_inverse(f, padded)
     if np.asarray(v).ndim == 1:
         return out[0]
     return out

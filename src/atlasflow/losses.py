@@ -19,8 +19,10 @@ from .flow import (
     FlowStack,
     add_grads,
     project,
+    stack_forward,
     stack_forward_cached,
     stack_forward_vjp,
+    stack_inverse,
     stack_inverse_cached,
     stack_inverse_vjp,
 )
@@ -141,8 +143,8 @@ def manifold_loss_parts(
 
 
 def _reconstruction_value(flow: FlowStack, n: int, batch: Batch) -> float:
-    z, _, _ = stack_forward_cached(flow, batch.x)
-    xr, _, _ = stack_inverse_cached(flow, project(z, n))
+    z, _ = stack_forward(flow, batch.x)
+    xr, _ = stack_inverse(flow, project(z, n))
     diff = xr - batch.x
     return float((diff * diff).sum() / batch.size)
 
@@ -216,8 +218,8 @@ def expected_points(
     sums = np.zeros_like(points)
     for flow, members in zip(flows, cover.charts):
         xk = points[members]
-        z, _, _ = stack_forward_cached(flow, xk)
-        xr, _, _ = stack_inverse_cached(flow, project(z, n))
+        z, _ = stack_forward(flow, xk)
+        xr, _ = stack_inverse(flow, project(z, n))
         sums[members] += xr
     xhat = sums / cover.multiplicity[:, None]
     return ExpectedPoints(xhat=xhat, epoch=epoch)

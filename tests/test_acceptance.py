@@ -251,6 +251,20 @@ class TestCachedCover:
         assert out.read_bytes() == cached.read_bytes()
 
 
+class TestCachedSamples:
+    """The cached sample sets that A5 and A6 score must be what the code
+    under test draws from the cached models."""
+
+    @pytest.mark.parametrize("name, model", [("torus", "torus_cover_model"), ("trefoil", "trefoil_model")])
+    def test_cached_samples_redraw_byte_identical(self, tmp_path, name, model):
+        ckpt, cached = _cache(f"{model}.json"), _cache(f"{name}_samples.csv")
+        if not (ckpt.exists() and cached.exists()):
+            pytest.skip("acceptance cache not built")
+        out = tmp_path / "samples.csv"
+        _run_cli(["sample", "--checkpoint", str(ckpt), "--count", "5000", "--seed", "1", "-o", str(out)])
+        assert out.read_bytes() == cached.read_bytes()
+
+
 class TestGenerationFidelity:
     def test_a5_torus_samples_on_surface(self, torus_samples):
         d = synth.torus_surface_distance(torus_samples)

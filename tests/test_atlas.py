@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -288,6 +289,18 @@ class TestLogDensity:
         expected = m + np.log(np.exp(terms - m).sum(axis=0))
         assert include.sum() > len(x)  # some points are scored by two charts
         assert np.array_equal(atlas.log_density(model, x), expected)
+
+    @pytest.mark.parametrize("cached", [p for p in _V1_MODELS if "torus_cover" in p.name], ids=lambda p: p.name)
+    def test_cache_free_passes_match_recorded_output(self, cached):
+        # sha256 of the float64 bytes of this log_density output as computed
+        # when every flow pass still kept its per-layer VJP caches
+        model = atlas.load(cached)
+        cloud, _ = atlas.sample(model, 400, np.random.default_rng(3))
+        x = cloud.points + np.random.default_rng(4).normal(scale=0.2, size=cloud.points.shape)
+        out = atlas.log_density(model, x)
+        assert model.cover.n_charts == 6
+        assert hashlib.sha256(out.tobytes()).hexdigest() == (
+            "8841b2ab96b946a86e91674b1aa2f892447f4d19198a97a9a4c2523f229fe9b8")
 
 
 def _perturbed_model(dim, latent_dim, seed):

@@ -10,6 +10,7 @@ import pytest
 
 from atlasflow import atlas, cli
 from atlasflow import cover as cov
+from atlasflow import flow as fl
 from atlasflow import synth
 
 
@@ -315,6 +316,47 @@ class TestBadPointCsv:
         assert rc == 8
         err = capsys.readouterr().err
         assert str(bad) in err and detail in err
+
+
+def _write_points(path, points):
+    np.savetxt(path, points, delimiter=",", header="x0,x1,x2", comments="")
+
+
+def _train_on(points):
+    """Maker of ``train`` argv on a cloud written and covered in ``tmp_path``."""
+    def make(tmp_path, monkeypatch, ckpt, torus_csv):
+        data, cover = tmp_path / "points.csv", tmp_path / "cover.json"
+        _write_points(data, points)
+        assert _run(["cover", "--data", str(data), "-o", str(cover)]) == 0
+        return ["train", "--preset", "torus", "--data", str(data), "--cover", str(cover),
+                "-o", str(tmp_path / "model.json")]
+    return make
+
+
+def _density_flat_embedding(tmp_path, monkeypatch, ckpt, torus_csv):
+    # a constant embedding has a zero Jacobian, so every Gram matrix is singular
+    monkeypatch.setattr(fl, "embed_latent", lambda f, v: np.zeros((len(v), f.dim)))
+    return ["density", "--data", str(torus_csv), "--checkpoint", str(ckpt),
+            "-o", str(tmp_path / "density.csv")]
+
+
+_LINE = np.outer(np.linspace(0.0, 10.0, 300), [1.0, 2.0, -1.0])
+# two far-apart stacks of exact duplicates: each is one chart, and a chart of
+# duplicates has no nonzero edge, whatever the neighbor count
+_DUPLICATES = np.repeat([[0.0, 0.0, 0.0], [10.0, 1.0, 0.0]], 150, axis=0)
+
+
+class TestNumericExits:
+    @pytest.mark.parametrize("make, code, detail", [
+        pytest.param(_train_on(_LINE), 9, "top-2 eigenvalue not positive", id="collinear-line"),
+        pytest.param(_density_flat_embedding, 9, "embedding Gram matrix is singular", id="singular-gram"),
+        pytest.param(_train_on(_DUPLICATES), 10, "graph disconnected", id="duplicate-chart"),
+    ])
+    def test_typed_exit(self, tmp_path, monkeypatch, capsys, tiny_checkpoint, torus_csv, make, code, detail):
+        argv = make(tmp_path, monkeypatch, tiny_checkpoint[0], torus_csv)
+        capsys.readouterr()
+        assert _run(argv) == code
+        assert detail in capsys.readouterr().err
 
 
 class TestDensityCommand:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -217,6 +218,38 @@ class TestStack:
                 an = grads[pi].ravel()[j]
                 worst = max(worst, abs(fd - an) / max(abs(fd), abs(an), 1e-5))
         assert worst < 1e-3
+
+
+def _peak_bytes(fn) -> int:
+    """Peak bytes allocated while ``fn`` runs, as seen by tracemalloc."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestCacheFreePasses:
+    @pytest.mark.parametrize("dim", [3, 1], ids=["conditioned-3d", "raw-1d"])
+    def test_bit_identical_to_cached(self, dim):
+        f = _perturbed(fl.make_flow(dim, 13, np.random.default_rng(15)), 0.12, 16)
+        x = np.random.default_rng(17).normal(size=(500, dim)) * 2
+        for run, values in ((fl.stack_forward_cached, fl.stack_forward), (fl.stack_inverse_cached, fl.stack_inverse)):
+            out, ld, caches = run(f, x)
+            free_out, free_ld, free_caches = run(f, x, keep_caches=False)
+            assert out.tobytes() == free_out.tobytes() and ld.tobytes() == free_ld.tobytes()
+            assert all(c is not None for c in caches)
+            assert free_caches == [None] * 13
+            val_out, val_ld = values(f, x)
+            assert out.tobytes() == val_out.tobytes() and ld.tobytes() == val_ld.tobytes()
+
+    def test_inverse_peak_memory(self):
+        f = _perturbed(fl.make_flow(3, 13, np.random.default_rng(18)), 0.12, 19)
+        z = np.random.default_rng(20).normal(size=(4096, 3))
+        cached = _peak_bytes(lambda: fl.stack_inverse_cached(f, z))
+        free = _peak_bytes(lambda: fl.stack_inverse(f, z))
+        assert free < cached / 3
 
 
 class TestProjectReconstruct:
