@@ -9,6 +9,13 @@ are recomputed every ``c_s`` epochs and the compatibility weight ramps up,
 annealed learning rate (restarted per phase), and global-norm clipping apply
 to every update.
 
+:func:`train` is one loop over the phase table ``((1, e1), (2, e1), (3,
+e2 + e3), (4, e4), (5, e5))``, then over each phase's epochs, then over the
+charts; one helper runs a chart's epoch of any phase.  Each chart owns its
+RNG streams, flows and optimiser states, so this order draws the same numbers
+as running phases 1-3 chart by chart would.  Log rows arrive in (phase,
+epoch, chart) order.
+
 Mixture weights over charts come from the disintegration of the data measure
 over the refined partition: c_k = sum of nu(cell)/n(cell) over the cells
 inside chart k.  Density minibatches are bootstrapped with probability
@@ -162,12 +169,9 @@ class AtlasModel:
         return np.array([c.c_k for c in self.charts])
 
 
-def disintegration_weights(partition: RefinedPartition, n_charts: int):
-    """Chart masses c_k and, per chart, each cell's conditional weight.
-
-    c_k sums nu(cell)/n(cell) over the cells whose owner set contains k; the
-    conditional weight of a cell inside its chart is (nu/n)/c_k.
-    """
+def disintegration_weights(partition: RefinedPartition, n_charts: int) -> np.ndarray:
+    """Chart masses: c_k sums nu(cell)/n(cell) over the cells whose owner set
+    contains k."""
     c = np.zeros(n_charts)
     for _, owners, n_owner, nu in partition.cells:
         share = nu / n_owner
@@ -176,12 +180,7 @@ def disintegration_weights(partition: RefinedPartition, n_charts: int):
     if np.any(c <= 0):
         k = int(np.flatnonzero(c <= 0)[0])
         raise CoverError(f"chart {k} carries no probability mass")
-    per_chart: list[list[tuple[int, float]]] = [[] for _ in range(n_charts)]
-    for idx, (_, owners, n_owner, nu) in enumerate(partition.cells):
-        share = nu / n_owner
-        for k in owners:
-            per_chart[k].append((idx, share / c[k]))
-    return c, per_chart
+    return c
 
 
 def bootstrap_batch(
@@ -225,16 +224,21 @@ def _epoch_batches(rng: np.random.Generator, n_members: int, b: int) -> list[np.
 
 @dataclass
 class _ChartState:
+    """One chart's training state.  Every chart owns its RNG streams, flows
+    and optimiser states; charts meet only in phase 4's expected points."""
+
     chart_id: int
     members: np.ndarray
     x: np.ndarray                      # member coordinates
-    rng: np.random.Generator
+    init_rng: np.random.Generator      # initialises phi, then gamma
+    rng: np.random.Generator           # batch shuffles and bootstraps
     phi: fl.FlowStack
-    gamma: fl.FlowStack | None = None
-    opt_phi: AdamState | None = None
-    opt_gamma: AdamState | None = None
+    opt_phi: AdamState
     embedding: np.ndarray | None = None
     geodesics: np.ndarray | None = None
+    gamma: fl.FlowStack | None = None  # built as phase 2 starts
+    opt_gamma: AdamState | None = None
+    latents: np.ndarray | None = None  # frozen phi latent codes, by global point index
 
 
 def _lambda_t(j: int, e2: int, lambda_p: float) -> float:
@@ -254,6 +258,117 @@ def _check_finite(value: float, phase: int, epoch: int, chart: int) -> None:
         )
 
 
+def _init_adam(flow_obj: fl.FlowStack, cfg: TrainConfig) -> AdamState:
+    return init_adam(flow_obj.parameters(), cfg.beta1, cfg.beta2, cfg.adam_eps, cfg.weight_decay)
+
+
+def _frozen_latents(st: _ChartState, n_points: int, n: int) -> np.ndarray:
+    """Latent codes of the chart's members under its current ``phi``, indexed
+    by global point index.  The forward pass treats rows independently, so a
+    row read from here equals the one a batch forward would give."""
+    out = np.empty((n_points, n))
+    out[st.members] = fl.latent_codes(st.phi, n, st.x)
+    return out
+
+
+def _build_gamma(st: _ChartState, cfg: TrainConfig, n_points: int) -> None:
+    """Create the chart's density map, its optimiser state and the frozen
+    latents phase 2 trains it on.  Its spline bound covers the latent range
+    ``phi`` has after pretraining."""
+    n = cfg.latent_dim
+    st.latents = _frozen_latents(st, n_points, n)
+    g_bound = max(fl.DEFAULT_BOUND, 1.2 * float(np.abs(st.latents[st.members]).max()))
+    st.gamma = fl.make_flow(n, cfg.n_layers, st.init_rng, n_bins=cfg.n_bins, bound=g_bound, hidden=cfg.hidden)
+    st.opt_gamma = _init_adam(st.gamma, cfg)
+
+
+def _update(flow_obj, opt, grads, scale, lr, cfg, phase, epoch, chart) -> None:
+    grads = [scale * g for g in grads]
+    grads = clip_global_norm(grads, cfg.clip_norm)
+    try:
+        _, new_params = adam_step(opt, flow_obj.parameters(), grads, lr)
+    except NumericError as exc:
+        raise DivergenceError(
+            f"non-finite gradient (phase {phase}, epoch {epoch}, chart {chart}): {exc}",
+            phase=phase, epoch=epoch, chart=chart,
+        ) from exc
+    flow_obj.set_parameters(new_params)
+
+
+def _density_step(st: _ChartState, phase, epoch, lr, cover, x_all, cfg) -> float:
+    """One gamma update on a bootstrap batch.  Its latents come from
+    ``st.latents`` while ``phi`` does not move (phases 2 and 5); otherwise
+    the batch goes through ``phi``."""
+    boot = bootstrap_batch(st.members, cover, x_all, cfg.batch_size, st.rng)
+    if phase in (2, 5):
+        v = st.latents[boot.indices]
+    else:
+        v = fl.latent_codes(st.phi, cfg.latent_dim, boot.x)
+    loss, grads = density_nll(st.gamma, v)
+    _check_finite(loss, phase, epoch, st.chart_id)
+    _update(st.gamma, st.opt_gamma, grads, cfg.lambda_d, lr, cfg, phase, epoch, st.chart_id)
+    return loss
+
+
+def _chart_batch(st: _ChartState, positions: np.ndarray, cover: ChartCover, with_dref: bool) -> Batch:
+    gidx = st.members[positions]
+    return Batch(
+        indices=gidx,
+        x=st.x[positions],
+        r=None if st.embedding is None else st.embedding[positions],
+        d_ref=None if (not with_dref or st.geodesics is None) else st.geodesics[np.ix_(positions, positions)],
+        multiplicity=cover.multiplicity[gidx],
+    )
+
+
+def _chart_epoch(st: _ChartState, phase, epoch, lr, xhat, cover, x_all, cfg) -> dict:
+    """One epoch of ``phase`` on chart ``st``; returns the log row's
+    epoch-averaged entries after ``lr``.
+
+    Phases 2 and 5 step ``gamma`` alone, on the frozen latents.  Phases 1, 3
+    and 4 step ``phi`` on each batch of a shuffled pass over the chart: on the
+    pretraining loss (phase 1), on the manifold loss with its distance weight
+    annealed (phase 3), or on the manifold loss plus the ramped compatibility
+    loss (phase 4).  In phases 3 and 4 a ``gamma`` step on live latents
+    follows every ``phi`` step.
+    """
+    if phase in (2, 5):
+        n_batches = max(1, math.ceil(st.members.size / cfg.batch_size))
+        total = 0.0
+        for _ in range(n_batches):
+            total += _density_step(st, phase, epoch, lr, cover, x_all, cfg)
+        return {"density": total / n_batches}
+    lam = _lambda_t(epoch, cfg.epochs[1], cfg.lambda_p) if phase == 3 else cfg.lambda_p
+    tot: dict[str, float] = {}
+    batches = _epoch_batches(st.rng, st.members.size, cfg.batch_size)
+    for pos in batches:
+        batch = _chart_batch(st, pos, cover, with_dref=phase > 1)
+        if phase == 1:
+            loss, grads = pretraining_loss(st.phi, batch)
+            parts = {"pre": loss}
+        else:
+            loss, grads, parts, passes = manifold_loss_parts(st.phi, cfg.latent_dim, batch, lam)
+            parts = {"mfd": loss, **parts}
+            if phase == 4:
+                c_loss, c_grads = compatibility_loss(
+                    st.phi, cfg.latent_dim, batch, xhat, epoch=epoch, max_age=cfg.c_s, passes=passes
+                )
+                ramp = (epoch / cfg.epochs[3]) * cfg.lambda_o
+                loss = loss + ramp * c_loss
+                grads = [mg + ramp * cg for mg, cg in zip(grads, c_grads)]
+                parts["comp"] = c_loss
+            # the pass caches are large; free them before the density step
+            passes = None
+        _check_finite(loss, phase, epoch, st.chart_id)
+        _update(st.phi, st.opt_phi, grads, cfg.lambda_m, lr, cfg, phase, epoch, st.chart_id)
+        if phase > 1:
+            parts["density"] = _density_step(st, phase, epoch, lr, cover, x_all, cfg)
+        for key, val in parts.items():
+            tot[key] = tot.get(key, 0.0) + val
+    means = {key: val / len(batches) for key, val in tot.items()}
+    return means if phase == 1 else {"lambda_t": lam, **means}
+
+
 def train(
     points: PointCloud | np.ndarray,
     cover: ChartCover,
@@ -262,8 +377,10 @@ def train(
 ) -> AtlasModel:
     """Run the five-phase schedule and return the trained atlas.
 
+    One loop runs over the phases, then their epochs, then the charts.
     ``log_rows``, when given, receives one dict per (phase, epoch, chart)
-    with epoch-averaged loss components.
+    with epoch-averaged loss components, appended as that step finishes, so
+    rows arrive in (phase, epoch, chart) order.
     """
     x_all = points.points if isinstance(points, PointCloud) else np.asarray(points, dtype=float)
     n_points, dim = x_all.shape
@@ -273,192 +390,47 @@ def train(
     n = cfg.latent_dim
     e1, e2, e3, e4, e5 = cfg.epochs
 
-    partition = refine_partition(cover)
-    c, _ = disintegration_weights(partition, cover.n_charts)
+    c = disintegration_weights(refine_partition(cover), cover.n_charts)
 
     seeds = np.random.SeedSequence(cfg.seed).spawn(2 * cover.n_charts)
     needs_isomap = e1 > 0 or (e2 + e3 + e4) > 0
     states: list[_ChartState] = []
     for k, members in enumerate(cover.charts):
         init_rng = np.random.default_rng(seeds[2 * k])
-        batch_rng = np.random.default_rng(seeds[2 * k + 1])
         xk = x_all[members]
         embedding = geodesics = None
         if needs_isomap:
             embedding, geodesics = geo.isomap(xk, cfg.isomap_k, n)
-        phi_bound = fl.DEFAULT_BOUND
-        phi_bound = max(phi_bound, 1.1 * float(np.abs(xk).max()))
+        phi_bound = max(fl.DEFAULT_BOUND, 1.1 * float(np.abs(xk).max()))
         if embedding is not None:
             phi_bound = max(phi_bound, 1.2 * float(np.abs(embedding).max()))
         phi = fl.make_flow(dim, cfg.n_layers, init_rng, n_bins=cfg.n_bins, bound=phi_bound, hidden=cfg.hidden)
-        state = _ChartState(
-            chart_id=k, members=np.asarray(members, dtype=int), x=xk, rng=batch_rng, phi=phi,
-            embedding=embedding, geodesics=geodesics,
-        )
-        state.opt_phi = init_adam(
-            phi.parameters(), cfg.beta1, cfg.beta2, cfg.adam_eps, cfg.weight_decay
-        )
-        # density map construction is deferred until after phi pretraining so
-        # its spline bound can cover the actual latent range
-        state._init_rng = init_rng  # type: ignore[attr-defined]
-        states.append(state)
+        states.append(_ChartState(
+            chart_id=k, members=np.asarray(members, dtype=int), x=xk,
+            init_rng=init_rng, rng=np.random.default_rng(seeds[2 * k + 1]),
+            phi=phi, opt_phi=_init_adam(phi, cfg), embedding=embedding, geodesics=geodesics,
+        ))
 
-    def _update(flow_obj, opt, grads, scale, lr, phase, epoch, chart):
-        grads = [scale * g for g in grads]
-        grads = clip_global_norm(grads, cfg.clip_norm)
-        try:
-            _, new_params = adam_step(opt, flow_obj.parameters(), grads, lr)
-        except NumericError as exc:
-            raise DivergenceError(
-                f"non-finite gradient (phase {phase}, epoch {epoch}, chart {chart}): {exc}",
-                phase=phase, epoch=epoch, chart=chart,
-            ) from exc
-        flow_obj.set_parameters(new_params)
-
-    def _log(phase, epoch, chart, lr, **losses):
-        if log_rows is not None:
-            row = {"phase": phase, "epoch": epoch, "chart": chart, "lr": lr}
-            row.update(losses)
-            log_rows.append(row)
-
-    def _frozen_latents(st: _ChartState, v: np.ndarray | None = None) -> np.ndarray:
-        """Latent codes of the chart's members under its current ``phi``
-        (``v`` when the caller has them), indexed by global point index.
-        The forward pass treats rows independently, so a row read from here
-        equals the one a batch forward would give."""
-        out = np.empty((n_points, n))
-        out[st.members] = fl.latent_codes(st.phi, n, st.x) if v is None else v
-        return out
-
-    def _build_gamma(st: _ChartState) -> np.ndarray:
-        """Create chart st's density map; returns its frozen latents."""
-        v = fl.latent_codes(st.phi, n, st.x)
-        g_bound = max(fl.DEFAULT_BOUND, 1.2 * float(np.abs(v).max()))
-        st.gamma = fl.make_flow(
-            n, cfg.n_layers, st._init_rng, n_bins=cfg.n_bins, bound=g_bound, hidden=cfg.hidden
-        )
-        st.opt_gamma = init_adam(
-            st.gamma.parameters(), cfg.beta1, cfg.beta2, cfg.adam_eps, cfg.weight_decay
-        )
-        return _frozen_latents(st, v)
-
-    def _density_step(st: _ChartState, lr, phase, epoch, latents=None):
-        """One gamma update on a bootstrap batch.  ``latents`` come from
-        :func:`_frozen_latents` while ``phi`` does not move (phases 2 and 5);
-        otherwise the batch goes through ``phi``."""
-        boot = bootstrap_batch(st.members, cover, x_all, cfg.batch_size, st.rng)
-        v = fl.latent_codes(st.phi, n, boot.x) if latents is None else latents[boot.indices]
-        loss, grads = density_nll(st.gamma, v)
-        _check_finite(loss, phase, epoch, st.chart_id)
-        _update(st.gamma, st.opt_gamma, grads, cfg.lambda_d, lr, phase, epoch, st.chart_id)
-        return loss
-
-    def _chart_batch(st: _ChartState, positions: np.ndarray, with_dref: bool) -> Batch:
-        gidx = st.members[positions]
-        return Batch(
-            indices=gidx,
-            x=st.x[positions],
-            r=None if st.embedding is None else st.embedding[positions],
-            d_ref=None if (not with_dref or st.geodesics is None) else st.geodesics[np.ix_(positions, positions)],
-            multiplicity=cover.multiplicity[gidx],
-        )
-
-    # phases 1-3 run chart by chart
-    for st in states:
-        k = st.chart_id
-        if e1 > 0:
-            sched = LrSchedule(cfg.learning_rate, e1)
-            for j in range(1, e1 + 1):
-                lr = lr_at(sched, j - 1)
-                total = 0.0
-                batches = _epoch_batches(st.rng, st.members.size, cfg.batch_size)
-                for pos in batches:
-                    batch = _chart_batch(st, pos, with_dref=False)
-                    loss, grads = pretraining_loss(st.phi, batch)
-                    _check_finite(loss, 1, j, k)
-                    _update(st.phi, st.opt_phi, grads, cfg.lambda_m, lr, 1, j, k)
-                    total += loss
-                _log(1, j, k, lr, pre=total / len(batches))
-
-        latents = _build_gamma(st)
-
-        if e1 > 0:
-            sched = LrSchedule(cfg.learning_rate, e1)
-            for j in range(1, e1 + 1):
-                lr = lr_at(sched, j - 1)
-                n_batches = max(1, math.ceil(st.members.size / cfg.batch_size))
-                total = 0.0
-                for _ in range(n_batches):
-                    total += _density_step(st, lr, 2, j, latents)
-                _log(2, j, k, lr, density=total / n_batches)
-        latents = None
-
-        if e2 + e3 > 0:
-            sched = LrSchedule(cfg.learning_rate, e2 + e3)
-            for j in range(1, e2 + e3 + 1):
-                lam = _lambda_t(j, e2, cfg.lambda_p)
-                lr = lr_at(sched, j - 1)
-                tot = {"mfd": 0.0, "recon": 0.0, "dist": 0.0, "density": 0.0}
-                batches = _epoch_batches(st.rng, st.members.size, cfg.batch_size)
-                for pos in batches:
-                    batch = _chart_batch(st, pos, with_dref=True)
-                    loss, grads, parts = manifold_loss_parts(st.phi, n, batch, lam, all_parts=True)
-                    _check_finite(loss, 3, j, k)
-                    _update(st.phi, st.opt_phi, grads, cfg.lambda_m, lr, 3, j, k)
-                    tot["mfd"] += loss
-                    tot["recon"] += parts["recon"]
-                    tot["dist"] += parts["dist"]
-                    tot["density"] += _density_step(st, lr, 3, j)
-                nb = len(batches)
-                _log(3, j, k, lr, lambda_t=lam, **{key: val / nb for key, val in tot.items()})
-
-    # phase 4: compatibility across charts, expected points refreshed every c_s
-    if e4 > 0:
-        sched = LrSchedule(cfg.learning_rate, e4)
-        xhat: ExpectedPoints | None = None
-        for j in range(1, e4 + 1):
-            if (j - 1) % cfg.c_s == 0:
-                xhat = expected_points([st.phi for st in states], n, cover, x_all, epoch=j)
-            lr = lr_at(sched, j - 1)
-            ramp = (j / e4) * cfg.lambda_o
-            for st in states:
-                k = st.chart_id
-                tot = {"mfd": 0.0, "recon": 0.0, "dist": 0.0, "comp": 0.0, "density": 0.0}
-                batches = _epoch_batches(st.rng, st.members.size, cfg.batch_size)
-                for pos in batches:
-                    batch = _chart_batch(st, pos, with_dref=True)
-                    m_loss, m_grads, parts, passes = manifold_loss_parts(
-                        st.phi, n, batch, cfg.lambda_p, keep_passes=True
-                    )
-                    c_loss, c_grads = compatibility_loss(
-                        st.phi, n, batch, xhat, epoch=j, max_age=cfg.c_s, passes=passes
-                    )
-                    # the pass caches are large; free them before the density step
-                    passes = None
-                    loss = m_loss + ramp * c_loss
-                    _check_finite(loss, 4, j, k)
-                    grads = [mg + ramp * cg for mg, cg in zip(m_grads, c_grads)]
-                    _update(st.phi, st.opt_phi, grads, cfg.lambda_m, lr, 4, j, k)
-                    tot["mfd"] += m_loss
-                    tot["recon"] += parts["recon"]
-                    tot["dist"] += parts["dist"]
-                    tot["comp"] += c_loss
-                    tot["density"] += _density_step(st, lr, 4, j)
-                nb = len(batches)
-                _log(4, j, k, lr, lambda_t=cfg.lambda_p, **{key: val / nb for key, val in tot.items()})
-
-    # phase 5: density only
-    if e5 > 0:
+    xhat: ExpectedPoints | None = None
+    for phase, n_epochs in ((1, e1), (2, e1), (3, e2 + e3), (4, e4), (5, e5)):
         for st in states:
-            sched = LrSchedule(cfg.learning_rate, e5)
-            latents = _frozen_latents(st)
-            for j in range(1, e5 + 1):
-                lr = lr_at(sched, j - 1)
-                n_batches = max(1, math.ceil(st.members.size / cfg.batch_size))
-                total = 0.0
-                for _ in range(n_batches):
-                    total += _density_step(st, lr, 5, j, latents)
-                _log(5, j, st.chart_id, lr, density=total / n_batches)
+            if phase == 2:
+                _build_gamma(st, cfg, n_points)
+            else:
+                # gamma steps on frozen latents only while phi does not move
+                st.latents = _frozen_latents(st, n_points, n) if phase == 5 and n_epochs else None
+        if n_epochs == 0:
+            continue
+        sched = LrSchedule(cfg.learning_rate, n_epochs)
+        for j in range(1, n_epochs + 1):
+            lr = lr_at(sched, j - 1)
+            if phase == 4 and (j - 1) % cfg.c_s == 0:
+                xhat = expected_points([st.phi for st in states], n, cover, x_all, epoch=j)
+            for st in states:
+                row = {"phase": phase, "epoch": j, "chart": st.chart_id, "lr": lr}
+                row.update(_chart_epoch(st, phase, j, lr, xhat, cover, x_all, cfg))
+                if log_rows is not None:
+                    log_rows.append(row)
 
     charts = [
         ChartModel(chart_id=st.chart_id, members=st.members, phi=st.phi, gamma=st.gamma, c_k=float(c[st.chart_id]))

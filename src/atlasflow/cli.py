@@ -21,7 +21,7 @@ import csv
 import json
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -51,13 +51,8 @@ _EXIT_CODES = [
     (ConnectivityError, 10),
 ]
 
-_CONFIG_KEYS = {
-    "latent_dim", "n_layers", "n_bins", "hidden", "learning_rate", "batch_size",
-    "epochs", "lambda_m", "lambda_p", "lambda_o", "lambda_d", "c_s", "clip_norm",
-    "weight_decay", "beta1", "beta2", "adam_eps", "seed", "isomap_k",
-    "membership_threshold", "mapper",
-}
-_MAPPER_KEYS = {"n_cubes", "perc_overlap", "linkage_threshold", "lens"}
+_CONFIG_KEYS = {f.name for f in fields(atlas.TrainConfig)}
+_MAPPER_KEYS = {f.name for f in fields(cov.MapperConfig)}
 
 
 def _default_seed() -> int:

@@ -27,7 +27,7 @@ operations in the same order, so their outputs are bit-identical.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,43 +49,6 @@ GRAM_FD_STEP = 1e-5
 RAW_CAP = 4.0
 
 
-@dataclass
-class RqSplineParams:
-    """Raw (unconstrained) spline parameters for one or many elements.
-
-    ``widths``/``heights`` have shape (..., K) and ``derivs`` (..., K-1);
-    zeros give the identity map.  Normalization: softmax with a small floor
-    for bin fractions, shifted softplus for the K-1 interior knot
-    derivatives; boundary derivatives are pinned to 1 so the map is C^1 at
-    the bound.
-    """
-
-    widths: np.ndarray
-    heights: np.ndarray
-    derivs: np.ndarray
-    bound: float = DEFAULT_BOUND
-
-    def __post_init__(self):
-        self.widths = np.asarray(self.widths, dtype=float)
-        self.heights = np.asarray(self.heights, dtype=float)
-        self.derivs = np.asarray(self.derivs, dtype=float)
-        k = self.widths.shape[-1]
-        if self.heights.shape[-1] != k or self.derivs.shape[-1] != k - 1:
-            raise ValueError("widths (K), heights (K), derivs (K-1) shapes inconsistent")
-        if self.bound <= 0:
-            raise ValueError("bound must be positive")
-
-    @property
-    def n_bins(self) -> int:
-        return self.widths.shape[-1]
-
-
-def identity_spline_params(n_bins: int = DEFAULT_BINS, bound: float = DEFAULT_BOUND) -> RqSplineParams:
-    return RqSplineParams(
-        widths=np.zeros(n_bins), heights=np.zeros(n_bins), derivs=np.zeros(n_bins - 1), bound=bound
-    )
-
-
 def _softmax(u: np.ndarray) -> np.ndarray:
     z = u - u.max(axis=-1, keepdims=True)
     e = np.exp(z)
@@ -93,7 +56,12 @@ def _softmax(u: np.ndarray) -> np.ndarray:
 
 
 def _normalize_spline(uw, uh, ud, bound):
-    """Raw parameters -> bin widths/heights, knot edges, knot derivatives."""
+    """Raw parameters -> bin widths/heights, knot edges, knot derivatives.
+
+    Bin fractions are a softmax with a small floor and the K-1 interior knot
+    derivatives a shifted softplus, so zero raw parameters give the identity;
+    the boundary derivatives are pinned to 1 so the map is C^1 at the bound.
+    """
     k = uw.shape[-1]
     scale = 2.0 * bound * (1.0 - MIN_BIN_FRACTION * k)
     pw = _softmax(uw)
@@ -266,41 +234,6 @@ def _spline_inverse_vjp(cache, gx):
     return g_y, g_uw, g_uh, g_ud
 
 
-def _broadcast_raw(params: RqSplineParams, shape):
-    uw = _soft_cap(np.broadcast_to(params.widths, shape + (params.n_bins,)))
-    uh = _soft_cap(np.broadcast_to(params.heights, shape + (params.n_bins,)))
-    ud = _soft_cap(np.broadcast_to(params.derivs, shape + (params.n_bins - 1,)))
-    return uw, uh, ud
-
-
-def spline_forward(params: RqSplineParams, x):
-    """Monotone spline value and log-derivative; identity outside the bound."""
-    x_arr = np.asarray(x, dtype=float)
-    if not (np.all(np.isfinite(params.widths)) and np.all(np.isfinite(params.heights)) and np.all(np.isfinite(params.derivs))):
-        raise NumericError("spline parameters contain non-finite entries")
-    uw, uh, ud = _broadcast_raw(params, x_arr.shape)
-    if not (params.widths.any() or params.heights.any() or params.derivs.any()):
-        return x_arr.copy() if x_arr.ndim else float(x_arr), np.zeros_like(x_arr) if x_arr.ndim else 0.0
-    y, ld, _ = _spline_apply(uw, uh, ud, params.bound, x_arr)
-    if x_arr.ndim == 0:
-        return float(y), float(ld)
-    return y, ld
-
-
-def spline_inverse(params: RqSplineParams, y):
-    """Exact analytic inverse (quadratic-root solve per bin)."""
-    y_arr = np.asarray(y, dtype=float)
-    if not (np.all(np.isfinite(params.widths)) and np.all(np.isfinite(params.heights)) and np.all(np.isfinite(params.derivs))):
-        raise NumericError("spline parameters contain non-finite entries")
-    uw, uh, ud = _broadcast_raw(params, y_arr.shape)
-    if not (params.widths.any() or params.heights.any() or params.derivs.any()):
-        return y_arr.copy() if y_arr.ndim else float(y_arr), np.zeros_like(y_arr) if y_arr.ndim else 0.0
-    x, ld, _ = _spline_apply(uw, uh, ud, params.bound, y_arr, inverse=True)
-    if y_arr.ndim == 0:
-        return float(x), float(ld)
-    return x, ld
-
-
 @dataclass
 class CouplingLayer:
     """One invertible layer: identity part conditions splines on the rest.
@@ -374,13 +307,6 @@ def _layer_raw(layer: CouplingLayer, x_id: np.ndarray):
     return theta[..., :k], theta[..., k : 2 * k], theta[..., 2 * k :], (mlp_cache, theta)
 
 
-def coupling_forward(layer: CouplingLayer, x):
-    y, ld, _ = coupling_forward_cached(layer, np.atleast_2d(np.asarray(x, dtype=float)))
-    if np.asarray(x).ndim == 1:
-        return y[0], float(ld[0])
-    return y, ld
-
-
 def coupling_forward_cached(layer: CouplingLayer, x: np.ndarray):
     if x.shape[-1] != layer.dim:
         raise ValueError(f"input dim {x.shape[-1]} != layer dim {layer.dim}")
@@ -408,13 +334,6 @@ def coupling_forward_vjp(layer: CouplingLayer, cache, gy: np.ndarray, glogdet):
     gx = gy.copy()
     gx[:, layer.tr_idx] = g_t
     return _assemble_param_grads(layer, cache, g_uw, g_uh, g_ud, gx)
-
-
-def coupling_inverse(layer: CouplingLayer, y):
-    x, ld, _ = coupling_inverse_cached(layer, np.atleast_2d(np.asarray(y, dtype=float)))
-    if np.asarray(y).ndim == 1:
-        return x[0], float(ld[0])
-    return x, ld
 
 
 def coupling_inverse_cached(layer: CouplingLayer, y: np.ndarray):

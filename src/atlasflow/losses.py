@@ -1,7 +1,8 @@
 """Training objectives for coordinate maps and density maps.
 
 Each loss returns ``(value, grads)`` with gradients in the flow's
-``parameters()`` order, produced by the hand-written VJPs in :mod:`flow`.
+``parameters()`` order, produced by the hand-written VJPs in :mod:`flow`;
+:func:`manifold_loss_parts` also returns its two components and its passes.
 Squared Euclidean norms are used throughout.
 """
 
@@ -95,114 +96,51 @@ def pretraining_loss(flow: FlowStack, batch: Batch):
     return loss, grads
 
 
-def reconstruction_loss(flow: FlowStack, n: int, batch: Batch):
-    """Mean squared distance between points and their chart projections."""
-    loss, grads, _, _ = _manifold_terms(flow, n, batch, want_recon=True, want_dist=False)
-    return loss, grads
+def manifold_loss_parts(flow: FlowStack, n: int, batch: Batch, lam: float):
+    """lam * distance loss + (1 - lam) * reconstruction loss, one shared pass.
 
-
-def pairwise_distance_loss(flow: FlowStack, n: int, batch: Batch):
-    """Mean squared mismatch between latent distances and reference geodesics."""
-    loss, grads, _, _ = _manifold_terms(flow, n, batch, want_recon=False, want_dist=True)
-    return loss, grads
-
-
-def manifold_loss(flow: FlowStack, n: int, batch: Batch, lam: float):
-    """lam * distance loss + (1 - lam) * reconstruction loss, one shared pass."""
-    loss, grads, _ = manifold_loss_parts(flow, n, batch, lam)
-    return loss, grads
-
-
-def manifold_loss_parts(
-    flow: FlowStack, n: int, batch: Batch, lam: float, all_parts: bool = False, keep_passes: bool = False
-):
-    """Like :func:`manifold_loss` but also reports the two components.
-
-    ``all_parts`` forces both component values to be evaluated even when one
-    carries zero weight (its gradient is still skipped); the trainer uses
-    this so loss curves are complete.  ``keep_passes`` appends the batch's
-    :class:`Passes` (None when no reconstruction was computed) to the
-    result, for :func:`compatibility_loss` on the same batch.
+    Returns ``(loss, grads, parts, passes)``: ``parts`` holds both component
+    values, ``recon`` (mean squared distance between points and their chart
+    projections) and ``dist`` (mean squared mismatch between latent distances
+    and the reference geodesics ``batch.d_ref``), even when one carries zero
+    weight; a zero-weight term gets no gradient.  ``passes`` are the batch's
+    :class:`Passes`, for :func:`compatibility_loss` on the same batch.
     """
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"loss weight {lam} outside [0, 1]")
-    want_recon = lam < 1.0
-    want_dist = lam > 0.0
-    if want_recon and want_dist:
-        total, grads, parts, passes = _manifold_terms(flow, n, batch, True, True, lam)
-    elif want_dist:
-        dist, grads, _, passes = _manifold_terms(flow, n, batch, False, True)
-        recon = _reconstruction_value(flow, n, batch) if all_parts else 0.0
-        total, parts = dist, {"recon": recon, "dist": dist}
-    else:
-        recon, grads, _, passes = _manifold_terms(flow, n, batch, True, False)
-        total, parts = recon, {"recon": recon, "dist": 0.0}
-    if keep_passes:
-        return total, grads, parts, passes
-    return total, grads, parts
-
-
-def _reconstruction_value(flow: FlowStack, n: int, batch: Batch) -> float:
-    z, _ = stack_forward(flow, batch.x)
-    xr, _ = stack_inverse(flow, project(z, n))
-    diff = xr - batch.x
-    return float((diff * diff).sum() / batch.size)
-
-
-def _manifold_terms(flow, n, batch, want_recon, want_dist, lam=None):
-    """Shared forward pass for the reconstruction and distance terms.
-
-    When ``lam`` is given the returned loss/grads are the lam-weighted
-    combination; otherwise they belong to whichever single term was asked
-    for.  The last result is the batch's :class:`Passes`, or None when the
-    reconstruction term was not asked for.
-    """
+    if batch.d_ref is None:
+        raise ValueError("pairwise distance loss requires d_ref in the batch")
     b = batch.size
+    if b < 2:
+        raise ValueError("pairwise distance loss needs batch size >= 2")
     x = batch.x
     z, _, fwd_caches = stack_forward_cached(flow, x)
+    xr, _, inv_caches = stack_inverse_cached(flow, project(z, n))
     gz = np.zeros_like(z)
-    grads = passes = None
-    recon_val = dist_val = 0.0
+    grads = None
 
-    w_recon = (1.0 - lam) if lam is not None else 1.0
-    w_dist = lam if lam is not None else 1.0
-
-    if want_recon:
-        xr, _, inv_caches = stack_inverse_cached(flow, project(z, n))
-        diff = xr - x
-        recon_val = float((diff * diff).sum() / b)
-        gxr = (2.0 * w_recon / b) * diff
-        gzp, inv_grads = stack_inverse_vjp(flow, inv_caches, gxr)
+    diff = xr - x
+    recon_val = float((diff * diff).sum() / b)
+    if lam < 1.0:
+        gxr = (2.0 * (1.0 - lam) / b) * diff
+        gzp, grads = stack_inverse_vjp(flow, inv_caches, gxr)
         gz[:, :n] += gzp[:, :n]
-        grads = inv_grads
-        passes = Passes(z, fwd_caches, xr, inv_caches)
 
-    if want_dist:
-        if batch.d_ref is None:
-            raise ValueError("pairwise distance loss requires d_ref in the batch")
-        if b < 2:
-            raise ValueError("pairwise distance loss needs batch size >= 2")
-        v = z[:, :n]
-        diffs = v[:, None, :] - v[None, :, :]
-        dist = np.sqrt((diffs * diffs).sum(axis=-1))
-        err = batch.d_ref - dist
-        denom = b * (b - 1)
-        dist_val = float((err * err).sum() / denom)
+    v = z[:, :n]
+    diffs = v[:, None, :] - v[None, :, :]
+    dist = np.sqrt((diffs * diffs).sum(axis=-1))
+    err = batch.d_ref - dist
+    denom = b * (b - 1)
+    dist_val = float((err * err).sum() / denom)
+    if lam > 0.0:
         safe = dist > 0
         w = np.where(safe, -2.0 * err / np.where(safe, dist, 1.0), 0.0) / denom
-        gv = 2.0 * w_dist * np.einsum("ij,ijk->ik", w, diffs)
-        gz[:, :n] += gv
+        gz[:, :n] += 2.0 * lam * np.einsum("ij,ijk->ik", w, diffs)
 
     _, fwd_grads = stack_forward_vjp(flow, fwd_caches, gz)
     grads = fwd_grads if grads is None else add_grads(grads, fwd_grads)
-
-    if lam is not None:
-        total = lam * dist_val + (1.0 - lam) * recon_val
-    elif want_dist:
-        total = dist_val
-    else:
-        total = recon_val
-    return total, grads, {"recon": recon_val, "dist": dist_val}, passes
+    total = lam * dist_val + (1.0 - lam) * recon_val
+    return total, grads, {"recon": recon_val, "dist": dist_val}, Passes(z, fwd_caches, xr, inv_caches)
 
 
 def expected_points(

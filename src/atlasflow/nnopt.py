@@ -11,7 +11,7 @@ against finite differences in the test suite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -95,16 +95,10 @@ def _activate_grad(z: np.ndarray, a: np.ndarray, kind: str) -> np.ndarray:
     return 1.0 - a * a if kind == "tanh" else (z > 0).astype(float)
 
 
-def mlp_forward(params: MlpParams, x: np.ndarray) -> np.ndarray:
-    """Evaluate the net on a vector or a batch of row vectors."""
-    y, _ = mlp_forward_cached(params, x)
-    return y
-
-
 def mlp_forward_cached(params: MlpParams, x: np.ndarray):
-    x = np.asarray(x, dtype=float)
-    squeeze = x.ndim == 1
-    h = x[None, :] if squeeze else x
+    """Evaluate the net on a batch of row vectors; returns (output, cache)
+    with the cache :func:`mlp_vjp_cached` reads."""
+    h = np.asarray(x, dtype=float)
     if h.shape[-1] != params.in_dim:
         raise ValueError(f"input dim {h.shape[-1]} != expected {params.in_dim}")
     acts = [h]  # post-activation values per layer, starting with the input
@@ -116,24 +110,16 @@ def mlp_forward_cached(params: MlpParams, x: np.ndarray):
         pre.append(z)
         h = z if i == n_layers - 1 else _activate(z, params.activation)
         acts.append(h)
-    out = h[0] if squeeze else h
-    return out, (acts, pre, squeeze)
-
-
-def mlp_vjp(params: MlpParams, x: np.ndarray, cotangent: np.ndarray):
-    """Gradients of cotangent^T . mlp_forward(x) w.r.t. parameters and input.
-
-    Returns (grads, grad_x) with ``grads`` in :meth:`MlpParams.arrays` order.
-    """
-    _, cache = mlp_forward_cached(params, x)
-    return mlp_vjp_cached(params, cache, cotangent)
+    return h, (acts, pre)
 
 
 def mlp_vjp_cached(params: MlpParams, cache, cotangent: np.ndarray):
-    acts, pre, squeeze = cache
+    """Gradients of cotangent^T . output w.r.t. parameters and input.
+
+    Returns (grads, grad_x) with ``grads`` in :meth:`MlpParams.arrays` order.
+    """
+    acts, pre = cache
     g = np.asarray(cotangent, dtype=float)
-    if squeeze:
-        g = g[None, :]
     if g.shape[-1] != params.out_dim:
         raise ValueError(f"cotangent dim {g.shape[-1]} != output dim {params.out_dim}")
     n_layers = len(params.weights)
@@ -149,8 +135,7 @@ def mlp_vjp_cached(params: MlpParams, cache, cotangent: np.ndarray):
     for w, b in zip(grad_w, grad_b):
         ordered.append(w)
         ordered.append(b)
-    grad_x = g[0] if squeeze else g
-    return ordered, grad_x
+    return ordered, g
 
 
 @dataclass
@@ -239,15 +224,11 @@ def adam_step(
     return state, new_params
 
 
-def global_norm(grads: list[np.ndarray]) -> float:
-    return math.sqrt(sum(float(np.sum(g * g)) for g in grads))
-
-
 def clip_global_norm(grads: list[np.ndarray], max_norm: float) -> list[np.ndarray]:
     """Scale all gradients by max_norm/norm when the global L2 norm exceeds max_norm."""
     if max_norm <= 0:
         raise ValueError("max_norm must be positive")
-    norm = global_norm(grads)
+    norm = math.sqrt(sum(float(np.sum(g * g)) for g in grads))
     if norm <= max_norm:
         return grads
     scale = max_norm / norm

@@ -41,6 +41,45 @@ def _tiny_config(**overrides):
     return atlas.TrainConfig(**base)
 
 
+def _arc_cloud(n=240, seed=1):
+    """A noisy half circle of radius 2 in the plane, ordered along the arc."""
+    rng = np.random.default_rng(seed)
+    t = np.sort(rng.uniform(0.0, np.pi, n))
+    return PointCloud(points=2.0 * np.column_stack([np.cos(t), np.sin(t)]) + rng.normal(0, 0.02, (n, 2)))
+
+
+def _two_charts(n, overlap):
+    half = n // 2
+    return ChartCover(n_points=n, charts=[np.arange(0, half + overlap), np.arange(half - overlap, n)])
+
+
+def _row_key(row):
+    return row["phase"], row["epoch"], row["chart"]
+
+
+# sha256 of the checkpoint and of the JSON of the log rows sorted by
+# (phase, epoch, chart), recorded when the trainer still ran five separate
+# phase loops with phases 1-3 chart by chart
+_PINNED_RUNS = {
+    "plane-five-phases": (
+        lambda: (_plane_cloud(n=300, seed=2), _two_charts(300, 30), _tiny_config(epochs=(2, 2, 3, 2, 2))),
+        "9c14e0c5969d8c65bde07057dab702e3de3a0b410599bf6744716f96ff309f75",
+        "87aaf7a5c232b6c3208231e62db3079fe6ac7806fce1ce4ebf9d08f28e941ceb",
+    ),
+    "plane-no-pretraining": (
+        lambda: (_plane_cloud(n=300, seed=2), _two_charts(300, 30), _tiny_config(epochs=(0, 3, 1, 3, 0), c_s=1)),
+        "0fea72041dbbde60ef23ec9f35ca1ffdc21e0a1ca7b747edcc8067240a5ae7dc",
+        "cdba3337a62103720e804c93586aa43764bef0b4eeaa30c4940f024ace158860",
+    ),
+    "arc-1d-latent": (
+        lambda: (_arc_cloud(), _two_charts(240, 20), _tiny_config(
+            latent_dim=1, hidden=(8, 8), batch_size=64, epochs=(2, 2, 2, 2, 2), lambda_p=0.01)),
+        "8cb7248aee2ea5e6b2904cf639bb53eef410a55b1e174d05ac91538e8bc518a2",
+        "f4e258e228b2ed1ba7070cdb8f0e2147699c3fb480b9a5f81d19719f2f12842d",
+    ),
+}
+
+
 @pytest.fixture(scope="module")
 def plane_model():
     cloud = _plane_cloud()
@@ -57,17 +96,14 @@ class TestDisintegrationWeights:
         charts = [np.arange(0, 70), np.arange(30, 100)]
         cover = ChartCover(n_points=100, charts=charts)
         part = refine_partition(cover)
-        c, per_chart = atlas.disintegration_weights(part, 2)
+        c = atlas.disintegration_weights(part, 2)
+        # each chart: its exclusive 0.3 plus half of the shared 0.4
         np.testing.assert_allclose(c, [0.5, 0.5], atol=1e-15)
-        # the shared cell contributes (0.4/2)/0.5 = 0.4 inside chart 0
-        weights = {idx: w for idx, w in per_chart[0]}
-        shared_idx = next(i for i, (_, owners, n, _) in enumerate(part.cells) if n == 2)
-        assert weights[shared_idx] == pytest.approx(0.4)
 
     def test_disjoint_charts(self):
         cover = ChartCover(n_points=10, charts=[np.arange(0, 3), np.arange(3, 10)])
         part = refine_partition(cover)
-        c, _ = atlas.disintegration_weights(part, 2)
+        c = atlas.disintegration_weights(part, 2)
         np.testing.assert_allclose(c, [0.3, 0.7], atol=1e-15)
 
     def test_sums_to_one(self):
@@ -83,7 +119,7 @@ class TestDisintegrationWeights:
             if missing.size:
                 charts[0] = np.sort(np.concatenate([charts[0], missing]))
             cover = ChartCover(n_points=n, charts=charts)
-            c, _ = atlas.disintegration_weights(refine_partition(cover), 4)
+            c = atlas.disintegration_weights(refine_partition(cover), 4)
             assert abs(c.sum() - 1.0) < 1e-12
 
 
@@ -165,6 +201,27 @@ class TestTraining:
         r3 = [r for r in log_rows if r["phase"] == 3]
         assert r3[0]["recon"] > 0  # recon evaluated even while lambda_t = 1
         assert all(math.isfinite(r["mfd"]) for r in r3)
+
+
+    @pytest.mark.parametrize("name", sorted(_PINNED_RUNS))
+    def test_matches_recorded_digests(self, tmp_path, name):
+        make, checkpoint_sha, rows_sha = _PINNED_RUNS[name]
+        cloud, cover, cfg = make()
+        rows = []
+        model = atlas.train(cloud, cover, cfg, log_rows=rows)
+        assert rows == sorted(rows, key=_row_key)
+        path = tmp_path / "ckpt.json"
+        atlas.save(model, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == checkpoint_sha
+        assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == rows_sha
+
+    def test_phase4_logs_recon_at_unit_lambda(self):
+        cloud = _plane_cloud(n=200, seed=3)
+        cover = ChartCover(n_points=cloud.n, charts=[np.arange(cloud.n)])
+        rows = []
+        atlas.train(cloud, cover, _tiny_config(epochs=(1, 1, 1, 2, 0), lambda_p=1.0), log_rows=rows)
+        r4 = [r for r in rows if r["phase"] == 4]
+        assert len(r4) == 2 and all(r["lambda_t"] == 1.0 and r["recon"] > 0 for r in r4)
 
 
 class TestSampling:

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from atlasflow import flow as fl
-from atlasflow.errors import NumericError
 
 
 def _perturbed(stack, scale, seed):
@@ -14,75 +13,76 @@ def _perturbed(stack, scale, seed):
     return stack
 
 
-def _random_spline(seed, n_bins=8, bound=5.0, scale=0.5):
+def _spline_stack(seed, n_bins=8, bound=5.0, scale=0.5):
+    """A one-layer 1-D stack: a single unconditional spline with random raw parameters."""
     rng = np.random.default_rng(seed)
-    return fl.RqSplineParams(
-        widths=scale * rng.normal(size=n_bins),
-        heights=scale * rng.normal(size=n_bins),
-        derivs=scale * rng.normal(size=n_bins - 1),
-        bound=bound,
+    raw = [
+        scale * rng.normal(size=(1, n_bins)),
+        scale * rng.normal(size=(1, n_bins)),
+        scale * rng.normal(size=(1, n_bins - 1)),
+    ]
+    layer = fl.CouplingLayer(
+        dim=1, id_idx=np.array([], dtype=int), tr_idx=np.array([0]), n_bins=n_bins, bound=bound, raw=raw
     )
+    return fl.FlowStack(dim=1, layers=[layer])
 
 
 class TestSpline:
     def test_identity_params(self):
-        p = fl.identity_spline_params()
-        y, ld = fl.spline_forward(p, 0.7)
-        assert y == 0.7 and ld == 0.0
-        x, ldi = fl.spline_inverse(p, -0.2)
-        assert x == -0.2 and ldi == 0.0
+        f = _spline_stack(0, scale=0.0)
+        y, ld = fl.stack_forward(f, np.array([0.7]))
+        np.testing.assert_array_equal(y, [0.7])
+        assert ld == 0.0
+        x, ldi = fl.stack_inverse(f, np.array([-0.2]))
+        np.testing.assert_array_equal(x, [-0.2])
+        assert ldi == 0.0
 
     def test_tail_identity(self):
-        p = _random_spline(0, bound=3.0)
-        y, ld = fl.spline_forward(p, 5.0)
-        assert y == 5.0 and ld == 0.0
-        x, ldi = fl.spline_inverse(p, -4.2)
-        assert x == -4.2 and ldi == 0.0
+        f = _spline_stack(0, bound=3.0)
+        y, ld = fl.stack_forward(f, np.array([5.0]))
+        np.testing.assert_array_equal(y, [5.0])
+        assert ld == 0.0
+        x, ldi = fl.stack_inverse(f, np.array([-4.2]))
+        np.testing.assert_array_equal(x, [-4.2])
+        assert ldi == 0.0
 
     def test_round_trip_random_params(self):
         rng = np.random.default_rng(1)
-        p = _random_spline(2)
-        x = rng.uniform(-6, 6, size=1000)
-        y, ld = fl.spline_forward(p, x)
-        xb, ldi = fl.spline_inverse(p, y)
+        f = _spline_stack(2)
+        x = rng.uniform(-6, 6, size=(1000, 1))
+        y, ld = fl.stack_forward(f, x)
+        xb, ldi = fl.stack_inverse(f, y)
         assert np.abs(xb - x).max() < 1e-9
         assert np.abs(ld + ldi).max() < 1e-9
 
     def test_monotone(self):
-        p = _random_spline(3)
-        y, _ = fl.spline_forward(p, np.linspace(-5, 5, 500))
-        assert np.all(np.diff(y) > 0)
+        f = _spline_stack(3)
+        y, _ = fl.stack_forward(f, np.linspace(-5, 5, 500)[:, None])
+        assert np.all(np.diff(y[:, 0]) > 0)
 
     def test_derivative_matches_logdet(self):
-        p = _random_spline(4)
-        x = np.linspace(-4.9, 4.9, 101)
-        y, ld = fl.spline_forward(p, x)
+        f = _spline_stack(4)
+        x = np.linspace(-4.9, 4.9, 101)[:, None]
+        y, ld = fl.stack_forward(f, x)
         h = 1e-7
-        y2, _ = fl.spline_forward(p, x + h)
-        fd = (y2 - y) / h
+        y2, _ = fl.stack_forward(f, x + h)
+        fd = (y2 - y)[:, 0] / h
         np.testing.assert_allclose(np.exp(ld), fd, rtol=1e-5)
-
-    def test_nonfinite_params_rejected(self):
-        p = fl.identity_spline_params()
-        p.widths = p.widths.copy()
-        p.widths[0] = np.nan
-        with pytest.raises(NumericError):
-            fl.spline_forward(p, 0.5)
 
 
 class TestCoupling:
     def test_fresh_layer_is_identity(self):
         f = fl.make_flow(2, 1, np.random.default_rng(0))
-        x = np.array([0.4, -1.1])
-        y, ld = fl.coupling_forward(f.layers[0], x)
+        x = np.array([[0.4, -1.1]])
+        y, ld, _ = fl.coupling_forward_cached(f.layers[0], x)
         np.testing.assert_array_equal(y, x)
-        assert ld == 0.0
+        np.testing.assert_array_equal(ld, [0.0])
 
     def test_mask_semantics(self):
         f = fl.make_flow(2, 1, np.random.default_rng(0))
         _perturbed(f, 0.3, 1)
         x = np.random.default_rng(2).normal(size=(40, 2))
-        y, _ = fl.coupling_forward(f.layers[0], x)
+        y, _, _ = fl.coupling_forward_cached(f.layers[0], x)
         np.testing.assert_array_equal(y[:, 0], x[:, 0])  # identity part copied
         assert np.abs(y[:, 1] - x[:, 1]).max() > 1e-6
 
@@ -93,25 +93,22 @@ class TestCoupling:
             layer = f.layers[0]
             rng = np.random.default_rng(5)
             for x in rng.normal(size=(5, dim)):
-                _, ld = fl.coupling_forward(layer, x)
+                _, ld, _ = fl.coupling_forward_cached(layer, x[None, :])
                 h = 1e-6
-                jac = np.zeros((dim, dim))
-                for i in range(dim):
-                    e = np.zeros(dim)
-                    e[i] = h
-                    yp, _ = fl.coupling_forward(layer, x + e)
-                    ym, _ = fl.coupling_forward(layer, x - e)
-                    jac[:, i] = (yp - ym) / (2 * h)
+                # row i of the batch is x shifted by h along axis i
+                yp, _, _ = fl.coupling_forward_cached(layer, x + h * np.eye(dim))
+                ym, _, _ = fl.coupling_forward_cached(layer, x - h * np.eye(dim))
+                jac = ((yp - ym) / (2 * h)).T
                 _, fd_ld = np.linalg.slogdet(jac)
-                assert abs(ld - fd_ld) / max(abs(fd_ld), 1e-4) < 1e-4
+                assert abs(ld[0] - fd_ld) / max(abs(fd_ld), 1e-4) < 1e-4
 
     def test_inverse_round_trip(self):
         f = fl.make_flow(3, 1, np.random.default_rng(9))
         _perturbed(f, 0.3, 3)
         layer = f.layers[0]
         x = np.random.default_rng(4).normal(size=(200, 3)) * 2
-        y, ld = fl.coupling_forward(layer, x)
-        xb, ldi = fl.coupling_inverse(layer, y)
+        y, ld, _ = fl.coupling_forward_cached(layer, x)
+        xb, ldi, _ = fl.coupling_inverse_cached(layer, y)
         assert np.abs(xb - x).max() < 1e-9
         assert np.abs(ld + ldi).max() < 1e-9
 

@@ -67,23 +67,39 @@ class TestPretraining:
         _fd_check(f, lambda: lo.pretraining_loss(f, batch))
 
 
+def _sym_dref(rng, b):
+    d_ref = np.abs(rng.normal(size=(b, b)))
+    d_ref = 0.5 * (d_ref + d_ref.T)
+    np.fill_diagonal(d_ref, 0.0)
+    return d_ref
+
+
+def _manifold(f, batch, lam):
+    """(loss, grads) of the manifold loss: at lam 0 the reconstruction loss,
+    at lam 1 the pairwise distance loss."""
+    return lo.manifold_loss_parts(f, 2, batch, lam)[:2]
+
+
 class TestReconstruction:
     def test_data_on_plane_identity_flow(self):
         f = _identity_flow(3)
         x = np.column_stack([np.random.default_rng(0).normal(size=(8, 2)), np.zeros(8)])
-        loss, _ = lo.reconstruction_loss(f, 2, lo.Batch(indices=np.arange(8), x=x))
-        assert loss == 0.0
+        batch = lo.Batch(indices=np.arange(8), x=x, d_ref=np.zeros((8, 8)))
+        loss, _, parts, _ = lo.manifold_loss_parts(f, 2, batch, 0.0)
+        assert loss == 0.0 and parts["recon"] == 0.0
 
     def test_single_point_value(self):
+        # each point sits at distance 1 from the latent plane
         f = _identity_flow(3)
-        batch = lo.Batch(indices=np.array([0]), x=np.array([[0.0, 0.0, 1.0]]))
-        loss, _ = lo.reconstruction_loss(f, 2, batch)
+        x = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, -1.0]])
+        batch = lo.Batch(indices=np.arange(2), x=x, d_ref=np.zeros((2, 2)))
+        loss, _ = _manifold(f, batch, 0.0)
         assert loss == pytest.approx(1.0)
 
     def test_gradient_fd(self):
         f = _perturbed_flow(3, seed=2)
-        batch = lo.Batch(indices=np.arange(5), x=np.random.default_rng(3).normal(size=(5, 3)))
-        _fd_check(f, lambda: lo.reconstruction_loss(f, 2, batch))
+        batch = lo.Batch(indices=np.arange(5), x=np.random.default_rng(3).normal(size=(5, 3)), d_ref=np.ones((5, 5)))
+        _fd_check(f, lambda: _manifold(f, batch, 0.0))
 
 
 class TestPairwiseDistance:
@@ -92,7 +108,7 @@ class TestPairwiseDistance:
         x = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
         d_ref = np.array([[0.0, 2.0], [2.0, 0.0]])
         batch = lo.Batch(indices=np.arange(2), x=x, d_ref=d_ref)
-        loss, _ = lo.pairwise_distance_loss(f, 2, batch)
+        loss, _ = _manifold(f, batch, 1.0)
         assert loss == pytest.approx(1.0)
 
     def test_matching_distances_zero(self):
@@ -101,64 +117,56 @@ class TestPairwiseDistance:
         x = np.column_stack([rng.normal(size=(6, 2)), rng.normal(size=6)])
         v = x[:, :2]
         d_ref = np.linalg.norm(v[:, None] - v[None, :], axis=2)
-        loss, _ = lo.pairwise_distance_loss(f, 2, lo.Batch(indices=np.arange(6), x=x, d_ref=d_ref))
+        loss, _ = _manifold(f, lo.Batch(indices=np.arange(6), x=x, d_ref=d_ref), 1.0)
         assert loss < 1e-24
 
     def test_batch_too_small(self):
         f = _identity_flow(2)
         batch = lo.Batch(indices=np.array([0]), x=np.zeros((1, 2)), d_ref=np.zeros((1, 1)))
         with pytest.raises(ValueError):
-            lo.pairwise_distance_loss(f, 1, batch)
+            lo.manifold_loss_parts(f, 1, batch, 1.0)
 
     def test_gradient_fd(self):
         f = _perturbed_flow(3, seed=5)
         rng = np.random.default_rng(6)
         x = rng.normal(size=(6, 3))
-        d_ref = np.abs(rng.normal(size=(6, 6)))
-        d_ref = 0.5 * (d_ref + d_ref.T)
-        np.fill_diagonal(d_ref, 0.0)
-        batch = lo.Batch(indices=np.arange(6), x=x, d_ref=d_ref)
-        _fd_check(f, lambda: lo.pairwise_distance_loss(f, 2, batch))
+        batch = lo.Batch(indices=np.arange(6), x=x, d_ref=_sym_dref(rng, 6))
+        _fd_check(f, lambda: _manifold(f, batch, 1.0))
 
 
 class TestManifoldLoss:
     def _batch(self, seed=7):
         rng = np.random.default_rng(seed)
         x = rng.normal(size=(6, 3))
-        d_ref = np.abs(rng.normal(size=(6, 6)))
-        d_ref = 0.5 * (d_ref + d_ref.T)
-        np.fill_diagonal(d_ref, 0.0)
-        return lo.Batch(indices=np.arange(6), x=x, d_ref=d_ref)
+        return lo.Batch(indices=np.arange(6), x=x, d_ref=_sym_dref(rng, 6))
 
     def test_extremes_match_components(self):
         f = _perturbed_flow(3, seed=8)
         batch = self._batch()
-        l1, _ = lo.manifold_loss(f, 2, batch, 1.0)
-        ld, _ = lo.pairwise_distance_loss(f, 2, batch)
-        assert l1 == pytest.approx(ld, rel=1e-12)
-        l0, _ = lo.manifold_loss(f, 2, batch, 0.0)
-        lr, _ = lo.reconstruction_loss(f, 2, batch)
-        assert l0 == pytest.approx(lr, rel=1e-12)
+        l1, _, parts1, _ = lo.manifold_loss_parts(f, 2, batch, 1.0)
+        l0, _, parts0, _ = lo.manifold_loss_parts(f, 2, batch, 0.0)
+        # both components are reported at every weight, zero weight included
+        assert parts1 == parts0 and parts0["recon"] > 0 and parts1["dist"] > 0
+        assert l1 == pytest.approx(parts1["dist"], rel=1e-12)
+        assert l0 == pytest.approx(parts0["recon"], rel=1e-12)
 
     def test_midpoint_is_mean(self):
         f = _perturbed_flow(3, seed=9)
         batch = self._batch()
-        lh, _ = lo.manifold_loss(f, 2, batch, 0.5)
-        ld, _ = lo.pairwise_distance_loss(f, 2, batch)
-        lr, _ = lo.reconstruction_loss(f, 2, batch)
-        assert lh == pytest.approx(0.5 * (ld + lr), rel=1e-12)
+        lh, _, parts, _ = lo.manifold_loss_parts(f, 2, batch, 0.5)
+        assert lh == pytest.approx(0.5 * (parts["dist"] + parts["recon"]), rel=1e-12)
 
     def test_linear_in_lambda(self):
         f = _perturbed_flow(3, seed=10)
         batch = self._batch()
-        vals = [lo.manifold_loss(f, 2, batch, lam)[0] for lam in (0.0, 0.25, 0.5, 0.75, 1.0)]
+        vals = [_manifold(f, batch, lam)[0] for lam in (0.0, 0.25, 0.5, 0.75, 1.0)]
         diffs = np.diff(vals)
         np.testing.assert_allclose(diffs, diffs[0], rtol=1e-9)
 
     def test_lambda_out_of_range(self):
         f = _identity_flow(3)
         with pytest.raises(ValueError):
-            lo.manifold_loss(f, 2, self._batch(), 1.5)
+            lo.manifold_loss_parts(f, 2, self._batch(), 1.5)
 
 
 class TestExpectedPoints:
@@ -237,7 +245,7 @@ class TestCompatibility:
         xhat = lo.ExpectedPoints(xhat=rng.normal(size=(5, 3)), epoch=1)
         _fd_check(f, lambda: lo.compatibility_loss(f, 2, batch, xhat))
 
-    @pytest.mark.parametrize("lam", [0.1, 0.0])
+    @pytest.mark.parametrize("lam", [0.1, 0.0, 1.0])
     def test_shared_passes_bit_identical(self, lam):
         f = _perturbed_flow(3, seed=24)
         rng = np.random.default_rng(25)
@@ -249,23 +257,15 @@ class TestCompatibility:
             multiplicity=np.array([2, 1, 3, 2, 1, 1, 2, 2, 1]),
         )
         xhat = lo.ExpectedPoints(xhat=rng.normal(size=(9, 3)), epoch=1)
-        *manifold, passes = lo.manifold_loss_parts(f, 2, batch, lam, keep_passes=True)
+        _, _, parts, passes = lo.manifold_loss_parts(f, 2, batch, lam)
         shared = lo.compatibility_loss(f, 2, batch, xhat, passes=passes)
         alone = lo.compatibility_loss(f, 2, batch, xhat)
         assert shared[0] == alone[0] > 0
         for got, want in zip(shared[1], alone[1]):
             np.testing.assert_array_equal(got, want)
-        plain = lo.manifold_loss_parts(f, 2, batch, lam)
-        assert manifold[0] == plain[0] and manifold[2] == plain[2]
-        for got, want in zip(manifold[1], plain[1]):
-            np.testing.assert_array_equal(got, want)
-
-    def test_no_passes_without_reconstruction(self):
-        f = _perturbed_flow(3, seed=26)
-        x = np.random.default_rng(27).normal(size=(4, 3))
-        batch = lo.Batch(indices=np.arange(4), x=x, d_ref=np.ones((4, 4)) - np.eye(4))
-        *_, passes = lo.manifold_loss_parts(f, 2, batch, 1.0, keep_passes=True)
-        assert passes is None
+        # the cached passes give the value-only reconstruction bit for bit
+        assert passes.xr.tobytes() == fl.reconstruct(f, 2, x).tobytes()
+        assert parts["recon"] == float(((passes.xr - x) ** 2).sum() / 9) > 0
 
 
 class TestDensityNll:
@@ -299,14 +299,12 @@ def test_losses_finite_and_nonnegative():
     rng = np.random.default_rng(28)
     f = _perturbed_flow(3, seed=28)
     x = rng.normal(size=(6, 3))
-    d_ref = np.abs(rng.normal(size=(6, 6)))
-    d_ref = 0.5 * (d_ref + d_ref.T)
-    np.fill_diagonal(d_ref, 0.0)
+    d_ref = _sym_dref(rng, 6)
     batch = lo.Batch(indices=np.arange(6), x=x, r=rng.normal(size=(6, 2)), d_ref=d_ref,
                      multiplicity=np.array([1, 2, 1, 2, 1, 2]))
     assert lo.pretraining_loss(f, batch)[0] >= 0
-    assert lo.reconstruction_loss(f, 2, batch)[0] >= 0
-    assert lo.pairwise_distance_loss(f, 2, batch)[0] >= 0
+    _, _, parts, _ = lo.manifold_loss_parts(f, 2, batch, 0.5)
+    assert parts["recon"] >= 0 and parts["dist"] >= 0
     xhat = lo.ExpectedPoints(xhat=rng.normal(size=(6, 3)), epoch=0)
     assert lo.compatibility_loss(f, 2, batch, xhat)[0] >= 0
     assert math.isfinite(lo.density_nll(f, x)[0])
