@@ -35,7 +35,17 @@ import numpy as np
 
 from . import flow as fl
 from . import geo
-from .cover import ChartCover, MapperConfig, RefinedPartition, refine_partition
+from .cover import (
+    ChartCover,
+    MapperConfig,
+    _decode,
+    _each,
+    _indices,
+    _Malformed,
+    cover_from_dict,
+    cover_to_dict,
+    refine_partition,
+)
 from .errors import CheckpointError, CoverError, DivergenceError, NumericError
 from .losses import (
     Batch,
@@ -169,12 +179,12 @@ class AtlasModel:
         return np.array([c.c_k for c in self.charts])
 
 
-def disintegration_weights(partition: RefinedPartition, n_charts: int) -> np.ndarray:
-    """Chart masses: c_k sums nu(cell)/n(cell) over the cells whose owner set
-    contains k."""
-    c = np.zeros(n_charts)
-    for _, owners, n_owner, nu in partition.cells:
-        share = nu / n_owner
+def disintegration_weights(cover: ChartCover) -> np.ndarray:
+    """Chart masses: c_k sums nu(cell)/n(cell) over the refined-partition
+    cells whose owner set contains k, n(cell) being the number of owners."""
+    c = np.zeros(cover.n_charts)
+    for _, owners, nu in refine_partition(cover):
+        share = nu / len(owners)
         for k in owners:
             c[k] += share
     if np.any(c <= 0):
@@ -386,11 +396,10 @@ def train(
     n_points, dim = x_all.shape
     if cover.n_points != n_points:
         raise CoverError(f"cover indexes {cover.n_points} points, data has {n_points}")
-    cover.validate()
     n = cfg.latent_dim
     e1, e2, e3, e4, e5 = cfg.epochs
 
-    c = disintegration_weights(refine_partition(cover), cover.n_charts)
+    c = disintegration_weights(cover)
 
     seeds = np.random.SeedSequence(cfg.seed).spawn(2 * cover.n_charts)
     needs_isomap = e1 > 0 or (e2 + e3 + e4) > 0
@@ -515,47 +524,6 @@ def log_density(
     return out if np.asarray(x).ndim > 1 else out[0]
 
 
-class _Malformed(ValueError):
-    """A checkpoint entry that cannot be decoded, with the key path leading to it."""
-
-    def __init__(self, keys: list, reason: str):
-        super().__init__(reason)
-        self.keys = keys
-
-    def __str__(self) -> str:
-        where = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in self.keys).lstrip(".")
-        return f"{where}: {self.args[0]}" if where else self.args[0]
-
-
-def _decode(obj, key, fn):
-    """``fn(obj[key])``; any failure becomes :class:`_Malformed` naming the key path."""
-    try:
-        value = obj[key]
-    except (KeyError, IndexError):
-        raise _Malformed([], f"missing key {key!r}") from None
-    except TypeError:
-        raise _Malformed([], f"{type(obj).__name__} has no key {key!r}") from None
-    try:
-        return fn(value)
-    except _Malformed as exc:
-        exc.keys.insert(0, key)
-        raise
-    except (LookupError, TypeError, ValueError, CoverError) as exc:
-        raise _Malformed([key], str(exc)) from exc
-
-
-def _each(fn):
-    """Decoder of a list whose items all decode with ``fn``."""
-    return lambda items: [_decode(items, i, fn) for i in range(len(items))]
-
-
-def _indices(v) -> np.ndarray:
-    a = np.asarray(v)
-    if a.size and a.dtype.kind != "i":
-        raise ValueError(f"expected integer indices, got {a.dtype} values")
-    return a.astype(int)
-
-
 def _pack(a: np.ndarray) -> dict:
     """A float array as its shape and the base64 of its little-endian float64 bytes."""
     a = np.asarray(a, dtype="<f8")
@@ -629,17 +597,6 @@ def _flow_from_dict(payload: dict) -> fl.FlowStack:
     return fl.FlowStack(dim=dim, layers=_decode(payload, "layers", _each(layer)))
 
 
-def _cover_from_dict(c: dict) -> ChartCover:
-    cover = ChartCover(
-        n_points=_decode(c, "n_points", int),
-        charts=_decode(c, "charts", _each(_indices)),
-        nerve_edges=_decode(c, "nerve_edges", lambda edges: {tuple(e) for e in edges}),
-        multiplicity=_decode(c, "multiplicity", _indices),
-    )
-    cover.validate()
-    return cover
-
-
 def _chart_from_dict(entry: dict) -> ChartModel:
     return ChartModel(
         chart_id=_decode(entry, "chart_id", int),
@@ -663,12 +620,7 @@ def save(model: AtlasModel, path) -> None:
         "dim": model.dim,
         "latent_dim": model.latent_dim,
         "config": cfg,
-        "cover": {
-            "n_points": model.cover.n_points,
-            "charts": [chart.tolist() for chart in model.cover.charts],
-            "nerve_edges": sorted(list(e) for e in model.cover.nerve_edges),
-            "multiplicity": model.cover.multiplicity.tolist(),
-        },
+        "cover": cover_to_dict(model.cover),
         "charts": [
             {
                 "chart_id": cm.chart_id,
@@ -712,7 +664,7 @@ def load(path) -> AtlasModel:
             dim=_decode(payload, "dim", int),
             latent_dim=_decode(payload, "latent_dim", int),
             charts=_decode(payload, "charts", _each(_chart_from_dict)),
-            cover=_decode(payload, "cover", _cover_from_dict),
+            cover=_decode(payload, "cover", cover_from_dict),
             config=_decode(payload, "config", lambda c: TrainConfig(**c)),
         )
         for i, (cm, members) in enumerate(zip(fields["charts"], fields["cover"].charts)):

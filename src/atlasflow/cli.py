@@ -4,8 +4,10 @@ Subcommands: synth, cover, train, sample, density, eval-boundary,
 compare-single.  Exit codes: 2 configuration error (incl. unknown manifold /
 bad config file), 3 degenerate lens, 4 training divergence, 5 unreadable,
 malformed or version-mismatched checkpoint, 6 chart-label mismatch between
-checkpoints, 7 unusable cover (unreadable or malformed cover file, or a cover
-that leaves points uncovered), 8 unusable point CSV (missing, ragged,
+checkpoints, 7 unusable cover (unreadable or malformed cover file, a
+non-integer chart index, a stored nerve or multiplicity that disagrees with
+the charts, a cover that leaves points uncovered, or eval-boundary on a cover
+with no overlap points), 8 unusable point CSV (missing, ragged,
 non-numeric, or without x* columns or data rows), 9 numerical failure (a
 chart whose Isomap embedding has a non-positive top eigenvalue, a singular
 embedding Gram matrix in density evaluation), 10 disconnected neighbor graph.
@@ -21,7 +23,7 @@ import csv
 import json
 import os
 import sys
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 
@@ -104,11 +106,21 @@ def _load_config_file(path) -> dict:
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     mapper = payload.get("mapper")
-    if mapper is not None:
+    if isinstance(mapper, dict):
         bad = set(mapper) - _MAPPER_KEYS
         if bad:
             raise ConfigError(f"unknown mapper config keys: {sorted(bad)}")
     return payload
+
+
+def _mapper_config(args, base: cov.MapperConfig) -> cov.MapperConfig:
+    """``base`` with the Mapper flags that were given applied."""
+    flags = {
+        "n_cubes": getattr(args, "n_cubes", None),
+        "perc_overlap": getattr(args, "perc_overlap", None),
+        "linkage_threshold": getattr(args, "threshold", None),
+    }
+    return replace(base, **{key: val for key, val in flags.items() if val is not None})
 
 
 def _build_config(args) -> atlas.TrainConfig:
@@ -135,27 +147,20 @@ def _build_config(args) -> atlas.TrainConfig:
     for key, val in flag_map.items():
         if val is not None:
             values[key] = val
-    if args.hidden is not None:
-        values["hidden"] = tuple(int(v) for v in args.hidden.split(","))
-    epochs = list(values["epochs"])
-    for i in range(5):
-        flag = getattr(args, f"epochs_e{i+1}")
-        if flag is not None:
-            epochs[i] = flag
-    values["epochs"] = tuple(epochs)
     if values.get("seed") is None:
         values["seed"] = _default_seed()
-    mapper = values.pop("mapper")
-    if isinstance(mapper, dict):
-        mapper = cov.MapperConfig(**mapper)
-    for flag, key in ((getattr(args, "n_cubes", None), "n_cubes"),
-                      (getattr(args, "perc_overlap", None), "perc_overlap"),
-                      (getattr(args, "threshold", None), "linkage_threshold")):
-        if flag is not None:
-            mapper = cov.MapperConfig(**{**asdict(mapper), key: flag})
     try:
+        if args.hidden is not None:
+            values["hidden"] = tuple(int(v) for v in args.hidden.split(","))
+        epochs = list(values["epochs"])
+        for i in range(5):
+            flag = getattr(args, f"epochs_e{i+1}")
+            if flag is not None:
+                epochs[i] = flag
+        values["epochs"] = tuple(epochs)
+        mapper = _mapper_config(args, cov.MapperConfig(**values.pop("mapper")))
         return atlas.TrainConfig(mapper=mapper, **values)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
 
@@ -178,11 +183,10 @@ def cmd_synth(args) -> int:
 
 def cmd_cover(args) -> int:
     cloud = synth.load_csv(args.data)
-    config = cov.MapperConfig(
-        n_cubes=args.n_cubes if args.n_cubes is not None else 5,
-        perc_overlap=args.perc_overlap if args.perc_overlap is not None else 0.45,
-        linkage_threshold=args.threshold if args.threshold is not None else 1.0,
-    )
+    try:
+        config = _mapper_config(args, cov.MapperConfig())
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     cover = cov.mapper_cover(cloud.points, config, n_latent=args.n_latent)
     cov.save_cover(cover, args.output)
     print(f"{cover.n_charts} charts, {len(cover.nerve_edges)} nerve edges -> {args.output}")
@@ -241,12 +245,11 @@ def cmd_density(args) -> int:
     return 0
 
 
-def _boundary_pairs(cover, labels, band):
+def _boundary_pairs(cover, labels):
     """Ordered (data label, model label) pairs with their point sets."""
     pairs = {}
     for i, j in sorted(cover.nerve_edges):
-        shared = np.intersect1d(cover.charts[i], cover.charts[j])
-        shared = shared[band[shared]]
+        shared = np.flatnonzero(cover.mask[i] & cover.mask[j])
         for a, b in ((i, j), (j, i)):
             pts = shared[labels[shared] == a]
             if pts.size:
@@ -262,6 +265,8 @@ def _recon_mse(model, chart_id, points):
 def cmd_eval_boundary(args) -> int:
     cloud = synth.load_csv(args.data)
     cover = cov.load_cover(args.cover)
+    if not cover.nerve_edges:
+        raise CoverError(f"{args.cover}: cover has no boundary points (no point lies in two charts)")
     cover_model = atlas.load(args.cover_checkpoint)
     part_model = atlas.load(args.partition_checkpoint)
     if cover_model.cover.n_charts != cover.n_charts or part_model.cover.n_charts != cover.n_charts:
@@ -272,8 +277,7 @@ def cmd_eval_boundary(args) -> int:
     if cover_model.cover.n_points != cloud.n or part_model.cover.n_points != cloud.n:
         raise LabelMismatchError("checkpoints were trained on a different number of points")
     labels = cov.partition_from_cover(cover, cloud.points)
-    band = cover.multiplicity >= 2
-    pairs = _boundary_pairs(cover, labels, band)
+    pairs = _boundary_pairs(cover, labels)
     rows = []
     tot_n = tot_cov = tot_par = 0.0
     for (i, j), idx in sorted(pairs.items()):

@@ -43,65 +43,42 @@ class MapperConfig:
 
 @dataclass
 class ChartCover:
-    """Charts as member index sets, plus nerve edges and per-point multiplicity."""
+    """Charts as member index sets over points ``0..n_points-1``.
+
+    The charts are the cover's one membership record.  Everything else is
+    derived from them once, at construction: ``mask``, the (L, N) boolean
+    membership matrix; ``multiplicity``, the number of charts holding each
+    point; and ``nerve_edges``, the pairs i < j of charts sharing a point.
+    """
 
     n_points: int
     charts: list[np.ndarray]
-    nerve_edges: set[tuple[int, int]] = field(default_factory=set)
-    multiplicity: np.ndarray | None = None
+    mask: np.ndarray = field(init=False, repr=False)
+    multiplicity: np.ndarray = field(init=False, repr=False)
+    nerve_edges: set[tuple[int, int]] = field(init=False)
 
     def __post_init__(self):
         self.charts = [np.asarray(c, dtype=int) for c in self.charts]
-        if self.multiplicity is None:
-            self.multiplicity = self._compute_multiplicity()
-        else:
-            self.multiplicity = np.asarray(self.multiplicity, dtype=int)
-
-    def _compute_multiplicity(self) -> np.ndarray:
-        m = np.zeros(self.n_points, dtype=int)
-        for chart in self.charts:
-            m[chart] += 1
-        return m
+        self.mask = np.zeros((len(self.charts), self.n_points), dtype=bool)
+        for k, chart in enumerate(self.charts):
+            if chart.size and (chart.min() < 0 or chart.max() >= self.n_points):
+                raise CoverError(f"chart {k} indexes a point outside 0..{self.n_points - 1}")
+            self.mask[k, chart] = True
+        self.multiplicity = self.mask.sum(axis=0)
+        shared = np.triu(self.mask.astype(float) @ self.mask.T > 0, k=1)  # float: the product runs in BLAS
+        self.nerve_edges = {(int(i), int(j)) for i, j in zip(*np.nonzero(shared))}
 
     @property
     def n_charts(self) -> int:
         return len(self.charts)
 
-    def membership_mask(self) -> np.ndarray:
-        """(L, N) boolean membership matrix."""
-        mask = np.zeros((self.n_charts, self.n_points), dtype=bool)
-        for k, chart in enumerate(self.charts):
-            mask[k, chart] = True
-        return mask
-
     def validate(self) -> None:
+        """Reject a cover with no charts or with a point no chart holds."""
         if self.n_charts == 0:
             raise CoverError("cover has no charts")
-        for k, chart in enumerate(self.charts):
-            if chart.size and (chart.min() < 0 or chart.max() >= self.n_points):
-                raise CoverError(f"chart {k} indexes a point outside 0..{self.n_points - 1}")
-        m = self._compute_multiplicity()
-        if np.any(m < 1):
-            missing = int(np.flatnonzero(m < 1)[0])
-            raise CoverError(f"point {missing} is not covered by any chart")
-        if not np.array_equal(m, self.multiplicity):
-            raise CoverError("stored multiplicity disagrees with charts")
-
-
-@dataclass
-class RefinedPartition:
-    """Cells of the signature partition with their counts and probabilities.
-
-    Each cell is the set of points lying in exactly one chart-membership
-    signature; ``owners`` is that signature, ``n_owner = len(owners)`` and
-    ``nu = |cell| / N``.
-    """
-
-    cells: list[tuple[np.ndarray, tuple[int, ...], int, float]]
-
-    @property
-    def n_cells(self) -> int:
-        return len(self.cells)
+        uncovered = np.flatnonzero(self.multiplicity == 0)
+        if uncovered.size:
+            raise CoverError(f"point {uncovered[0]} is not covered by any chart")
 
 
 def pca_lens(points: np.ndarray) -> np.ndarray:
@@ -167,12 +144,6 @@ def single_linkage(points: np.ndarray, threshold: float) -> list[np.ndarray]:
     return np.split(order, np.cumsum(np.bincount(labels))[:-1])
 
 
-def _nerve_edges(mask: np.ndarray) -> set[tuple[int, int]]:
-    """Pairs i < j of charts (rows of an (L, N) membership mask) sharing a point."""
-    shared = np.triu(mask.astype(float) @ mask.T > 0, k=1)  # float: the product runs in BLAS
-    return {(int(i), int(j)) for i, j in zip(*np.nonzero(shared))}
-
-
 def mapper_cover(points: np.ndarray, config: MapperConfig, n_latent: int = 2) -> ChartCover:
     """Run the full Mapper pipeline and return an overlapping chart cover.
 
@@ -194,8 +165,8 @@ def mapper_cover(points: np.ndarray, config: MapperConfig, n_latent: int = 2) ->
     if not charts:
         raise CoverError("Mapper produced no charts")
 
-    mask = _merge_small_charts(ChartCover(n, charts).membership_mask(), points, min_size=n_latent + 2)
-    cover = ChartCover(n_points=n, charts=[np.flatnonzero(row) for row in mask], nerve_edges=_nerve_edges(mask))
+    mask = _merge_small_charts(ChartCover(n, charts).mask, points, min_size=n_latent + 2)
+    cover = ChartCover(n_points=n, charts=[np.flatnonzero(row) for row in mask])
     cover.validate()
     return cover
 
@@ -223,24 +194,14 @@ def _merge_small_charts(mask: np.ndarray, points: np.ndarray, min_size: int) -> 
     return mask
 
 
-def _covering_mask(cover: ChartCover, n_points: int | None = None) -> np.ndarray:
-    """The cover's (L, N) membership mask; every point must be in some chart."""
-    if n_points is not None and n_points != cover.n_points:
-        raise CoverError(f"cover indexes {cover.n_points} points, not {n_points}")
-    mask = cover.membership_mask()
-    uncovered = np.flatnonzero(~mask.any(axis=0))
-    if uncovered.size:
-        raise CoverError(f"point {uncovered[0]} is not covered by any chart")
-    return mask
-
-
-def refine_partition(cover: ChartCover, n_points: int | None = None) -> RefinedPartition:
+def refine_partition(cover: ChartCover) -> list[tuple[np.ndarray, tuple[int, ...], float]]:
     """Group points by exact chart-membership signature.
 
-    Each signature is one cell with nu = |cell| / N and n_owner the number
-    of charts in the signature.  ``n_points``, when given, must equal N.
+    Each signature is one cell ``(indices, signature, nu)`` with
+    nu = |cell| / N; cells come sorted by signature.
     """
-    mask = _covering_mask(cover, n_points)
+    cover.validate()
+    mask = cover.mask
     n = mask.shape[1]
     # a stable sort of the columns puts equal signatures in runs of ascending index
     order = np.lexsort(mask)
@@ -248,8 +209,8 @@ def refine_partition(cover: ChartCover, n_points: int | None = None) -> RefinedP
     cells = []
     for idx in np.split(order, breaks):
         sig = tuple(np.flatnonzero(mask[:, idx[0]]).tolist())
-        cells.append((idx, sig, len(sig), idx.size / n))
-    return RefinedPartition(cells=sorted(cells, key=lambda cell: cell[1]))
+        cells.append((idx, sig, idx.size / n))
+    return sorted(cells, key=lambda cell: cell[1])
 
 
 def partition_from_cover(cover: ChartCover, points: np.ndarray) -> np.ndarray:
@@ -259,10 +220,12 @@ def partition_from_cover(cover: ChartCover, points: np.ndarray) -> np.ndarray:
     cover indexes; the result partitions {0..N-1}.
     """
     points = np.asarray(points, dtype=float)
-    mask = _covering_mask(cover, points.shape[0])
+    if points.shape[0] != cover.n_points:
+        raise CoverError(f"cover indexes {cover.n_points} points, not {points.shape[0]}")
+    cover.validate()
     centroids = np.stack([points[c].mean(axis=0) for c in cover.charts])
     dist = np.linalg.norm(centroids[None, :, :] - points[:, None, :], axis=2)
-    return np.argmin(np.where(mask.T, dist, np.inf), axis=1)
+    return np.argmin(np.where(cover.mask.T, dist, np.inf), axis=1)
 
 
 def partition_cover(cover: ChartCover, points: np.ndarray) -> ChartCover:
@@ -276,20 +239,84 @@ def partition_cover(cover: ChartCover, points: np.ndarray) -> ChartCover:
     charts = [np.flatnonzero(labels == k) for k in range(cover.n_charts)]
     if any(c.size == 0 for c in charts):
         raise CoverError("partition baseline produced an empty chart")
-    return ChartCover(n_points=cover.n_points, charts=charts, nerve_edges=set())
+    return ChartCover(n_points=cover.n_points, charts=charts)
 
 
-def save_cover(cover: ChartCover, path) -> None:
-    partition = refine_partition(cover)
-    payload = {
-        "format_version": COVER_FORMAT_VERSION,
+class _Malformed(ValueError):
+    """A JSON entry that cannot be decoded, with the key path leading to it."""
+
+    def __init__(self, keys: list, reason: str):
+        super().__init__(reason)
+        self.keys = keys
+
+    def __str__(self) -> str:
+        where = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in self.keys).lstrip(".")
+        return f"{where}: {self.args[0]}" if where else self.args[0]
+
+
+def _decode(obj, key, fn):
+    """``fn(obj[key])``; any failure becomes :class:`_Malformed` naming the key path."""
+    try:
+        value = obj[key]
+    except (KeyError, IndexError):
+        raise _Malformed([], f"missing key {key!r}") from None
+    except TypeError:
+        raise _Malformed([], f"{type(obj).__name__} has no key {key!r}") from None
+    try:
+        return fn(value)
+    except _Malformed as exc:
+        exc.keys.insert(0, key)
+        raise
+    except (LookupError, TypeError, ValueError, CoverError) as exc:
+        raise _Malformed([key], str(exc)) from exc
+
+
+def _each(fn):
+    """Decoder of a list whose items all decode with ``fn``."""
+    return lambda items: [_decode(items, i, fn) for i in range(len(items))]
+
+
+def _indices(v) -> np.ndarray:
+    a = np.asarray(v)
+    if a.size and a.dtype.kind != "i":
+        raise ValueError(f"expected integer indices, got {a.dtype} values")
+    return a.astype(int)
+
+
+def cover_to_dict(cover: ChartCover) -> dict:
+    """The cover's JSON fields; the nerve and multiplicity are written for
+    readers, and :func:`cover_from_dict` checks them against the charts."""
+    return {
         "n_points": cover.n_points,
         "charts": [c.tolist() for c in cover.charts],
         "nerve_edges": sorted(list(e) for e in cover.nerve_edges),
         "multiplicity": cover.multiplicity.tolist(),
+    }
+
+
+def cover_from_dict(payload) -> ChartCover:
+    """Inverse of :func:`cover_to_dict`.  Raises :class:`_Malformed` naming
+    the key path, or :class:`CoverError` for charts that index outside the
+    points or leave a point uncovered."""
+    cover = ChartCover(
+        n_points=_decode(payload, "n_points", int),
+        charts=_decode(payload, "charts", _each(_indices)),
+    )
+    cover.validate()
+    if _decode(payload, "nerve_edges", lambda edges: {tuple(e) for e in edges}) != cover.nerve_edges:
+        raise _Malformed(["nerve_edges"], "disagrees with the charts")
+    if not np.array_equal(_decode(payload, "multiplicity", _indices), cover.multiplicity):
+        raise _Malformed(["multiplicity"], "disagrees with the charts")
+    return cover
+
+
+def save_cover(cover: ChartCover, path) -> None:
+    payload = {
+        "format_version": COVER_FORMAT_VERSION,
+        **cover_to_dict(cover),
         "cells": [
             {"signature": list(sig), "indices": idx.tolist(), "nu": nu}
-            for idx, sig, _, nu in partition.cells
+            for idx, sig, nu in refine_partition(cover)
         ],
     }
     with open(path, "w") as fh:
@@ -312,17 +339,6 @@ def load_cover(path) -> ChartCover:
     if version != COVER_FORMAT_VERSION:
         raise CoverError(f"{path}: unsupported cover format_version {version!r}")
     try:
-        cover = ChartCover(
-            n_points=int(payload["n_points"]),
-            charts=[np.asarray(c, dtype=int) for c in payload["charts"]],
-            nerve_edges={tuple(e) for e in payload["nerve_edges"]},
-            multiplicity=np.asarray(payload["multiplicity"], dtype=int),
-        )
-        cover.validate()
-    except KeyError as exc:
-        raise CoverError(f"{path}: missing key {exc}") from exc
-    except (TypeError, ValueError, IndexError) as exc:
-        raise CoverError(f"{path}: malformed cover: {exc}") from exc
-    except CoverError as exc:
+        return cover_from_dict(payload)
+    except (ValueError, CoverError) as exc:
         raise CoverError(f"{path}: {exc}") from exc
-    return cover

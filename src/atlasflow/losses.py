@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .cover import ChartCover
-from .errors import CoverError, StaleExpectedPointsError
+from .errors import StaleExpectedPointsError
 from .flow import (
     FlowStack,
     add_grads,
@@ -150,9 +150,7 @@ def expected_points(
     if len(flows) != cover.n_charts:
         raise ValueError("one flow per chart required")
     points = np.asarray(points, dtype=float)
-    if np.any(cover.multiplicity < 1):
-        missing = int(np.flatnonzero(cover.multiplicity < 1)[0])
-        raise CoverError(f"point {missing} not covered; cannot form expected points")
+    cover.validate()
     sums = np.zeros_like(points)
     for flow, members in zip(flows, cover.charts):
         xk = points[members]
@@ -168,16 +166,16 @@ def compatibility_loss(
     n: int,
     batch: Batch,
     expected: ExpectedPoints,
+    passes: Passes,
     epoch: int | None = None,
     max_age: int | None = None,
-    passes: Passes | None = None,
 ):
     """Mean squared gap between this chart's reconstruction and the expected
     point, over the overlap points (multiplicity >= 2) of the batch.
 
     The expected points are constants: no gradient flows through them.
     ``passes`` are the forward and reconstruction passes of ``flow`` on
-    ``batch.x`` when the caller already ran them; they are then reused.
+    ``batch.x``, as :func:`manifold_loss_parts` returns them.
     """
     if epoch is not None and max_age is not None and epoch - expected.epoch >= max_age:
         raise StaleExpectedPointsError(
@@ -189,11 +187,7 @@ def compatibility_loss(
     count = int(overlap.sum())
     if count == 0:
         return 0.0, [np.zeros_like(p) for p in flow.parameters()]
-    if passes is None:
-        z, _, fwd_caches = stack_forward_cached(flow, batch.x)
-        xr, _, inv_caches = stack_inverse_cached(flow, project(z, n))
-    else:
-        z, fwd_caches, xr, inv_caches = passes
+    z, fwd_caches, xr, inv_caches = passes
     diff = (xr - expected.xhat[batch.indices]) * overlap[:, None]
     loss = float((diff * diff).sum() / count)
     gxr = 2.0 * diff / count

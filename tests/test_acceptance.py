@@ -23,9 +23,10 @@ from atlasflow import atlas, cli
 from atlasflow import cover as cov
 from atlasflow import flow as fl
 from atlasflow import geo, synth
-from atlasflow.cover import ChartCover, refine_partition
+from atlasflow.cover import ChartCover
 from atlasflow.losses import (
     Batch,
+    Passes,
     compatibility_loss,
     density_nll,
     manifold_loss_parts,
@@ -345,12 +346,17 @@ class TestInvariantSuite:
         gamma.set_parameters([p + 0.15 * rng.normal(size=p.shape) for p in gamma.parameters()])
         v = rng.normal(size=(6, 2))
 
+        def passes(flow_obj):
+            z, _, fwd_caches = fl.stack_forward_cached(flow_obj, x)
+            xr, _, inv_caches = fl.stack_inverse_cached(flow_obj, fl.project(z, 2))
+            return Passes(z, fwd_caches, xr, inv_caches)
+
         losses = {
             "pretraining": (f, lambda: pretraining_loss(f, batch)),
             "reconstruction": (f, lambda: manifold_loss_parts(f, 2, batch, 0.0)[:2]),
             "pairwise": (f, lambda: manifold_loss_parts(f, 2, batch, 1.0)[:2]),
             "manifold": (f, lambda: manifold_loss_parts(f, 2, batch, 0.6)[:2]),
-            "compatibility": (f, lambda: compatibility_loss(f, 2, batch, xhat)),
+            "compatibility": (f, lambda: compatibility_loss(f, 2, batch, xhat, passes(f))),
             "density": (gamma, lambda: density_nll(gamma, v)),
         }
         worst_overall = 0.0
@@ -375,7 +381,7 @@ class TestInvariantSuite:
     def test_a7_disintegration_weights(self):
         charts = [np.arange(0, 70), np.arange(30, 100)]
         cover = ChartCover(n_points=100, charts=charts)
-        c = atlas.disintegration_weights(refine_partition(cover), 2)
+        c = atlas.disintegration_weights(cover)
         exact = np.allclose(c, [0.5, 0.5], atol=0) and abs(c.sum() - 1.0) < 1e-12
         rng = np.random.default_rng(6)
         sums_ok = True
@@ -388,7 +394,7 @@ class TestInvariantSuite:
             if missing.size:
                 charts[0] = np.sort(np.concatenate([charts[0], missing]))
             cover = ChartCover(n_points=n, charts=charts)
-            c = atlas.disintegration_weights(refine_partition(cover), 5)
+            c = atlas.disintegration_weights(cover)
             sums_ok = sums_ok and abs(c.sum() - 1.0) < 1e-12
         _report("A7 disintegration", exact and sums_ok, "counting oracle exact, sums within 1e-12")
 

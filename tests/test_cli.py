@@ -107,6 +107,16 @@ class TestCoverCommand:
         cover = cov.load_cover(out)
         assert len(cover.nerve_edges) == 0
 
+    def test_defaults_match_explicit_flags(self, torus_csv, cover_json, tmp_path):
+        out = tmp_path / "c.json"
+        _run(["cover", "--data", str(torus_csv), "-o", str(out)])
+        assert out.read_bytes() == cover_json.read_bytes()
+
+    def test_bad_mapper_flag_exit_2(self, torus_csv, tmp_path, capsys):
+        rc = _run(["cover", "--data", str(torus_csv), "--n-cubes", "0", "-o", str(tmp_path / "c.json")])
+        assert rc == 2
+        assert "n_cubes must be >= 1" in capsys.readouterr().err
+
     def test_degenerate_lens_exit_3(self, tmp_path):
         data = tmp_path / "const.csv"
         with open(data, "w") as fh:
@@ -115,6 +125,15 @@ class TestCoverCommand:
                 fh.write("1.0,2.0\n")
         rc = _run(["cover", "--data", str(data), "-o", str(tmp_path / "c.json")])
         assert rc == 3
+
+
+def _json_edited(edit):
+    """Maker of a JSON file changed in place by ``edit(payload)``."""
+    def make(text):
+        payload = json.loads(text)
+        edit(payload)
+        return json.dumps(payload).encode()
+    return make
 
 
 def _edited(key, value=None):
@@ -135,6 +154,13 @@ class TestBadCoverFile:
         pytest.param(_edited("charts"), "missing key 'charts'", id="missing-key"),
         pytest.param(_edited("charts", [[0, 1]]), "point 2 is not covered", id="uncovered"),
         pytest.param(_edited("charts", [[-1]]), "chart 0 indexes a point outside", id="negative-index"),
+        pytest.param(_json_edited(lambda p: p["charts"][0].__setitem__(0, 0.5)),
+                     "charts[0]: expected integer indices", id="fractional-index"),
+        pytest.param(_json_edited(lambda p: p["nerve_edges"].append([0, 99])),
+                     "nerve_edges: disagrees with the charts", id="nerve-names-missing-chart"),
+        pytest.param(_edited("nerve_edges", []), "nerve_edges: disagrees with the charts", id="emptied-nerve"),
+        pytest.param(_json_edited(lambda p: p["multiplicity"].__setitem__(0, p["multiplicity"][0] + 1)),
+                     "multiplicity: disagrees with the charts", id="edited-multiplicity"),
         pytest.param(lambda text: b"x0,x1,x2\n1,2,3\n", "parse error at byte 0", id="not-json"),
         pytest.param(lambda text: b"[1, 2, 3]", "not a cover file", id="not-a-cover"),
         pytest.param(lambda text: b"\xff\xfe\x00garbage", "not UTF-8 text at byte 0", id="binary"),
@@ -176,6 +202,20 @@ class TestTrainCommand:
         rc = _run(["train", "--data", str(torus_csv), "--cover", str(cover_json),
                    "--config", str(cfg), "-o", str(tmp_path / "m.json")])
         assert rc == 2
+
+    @pytest.mark.parametrize("config", [
+        {"mapper": {"n_cubes": 0}},
+        {"mapper": 5},
+        {"epochs": 5},
+        {"learning_rate": "x"},
+    ], ids=["mapper-n-cubes-0", "mapper-not-object", "epochs-not-list", "learning-rate-not-number"])
+    def test_malformed_config_value_exit_2(self, torus_csv, cover_json, tmp_path, capsys, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        rc = _run(["train", "--data", str(torus_csv), "--cover", str(cover_json),
+                   "--config", str(cfg), "-o", str(tmp_path / "m.json")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_config_file_and_flag_precedence(self, torus_csv, cover_json, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -236,15 +276,6 @@ class TestSampleCommand:
         assert str(bad) in err and detail in err
 
 
-def _ckpt_edited(edit):
-    """Maker of a checkpoint file changed in place by ``edit(payload)``."""
-    def make(text):
-        payload = json.loads(text)
-        edit(payload)
-        return json.dumps(payload).encode()
-    return make
-
-
 def _layer(payload, flow="phi"):
     return payload["charts"][0][flow]["layers"][0]
 
@@ -259,32 +290,34 @@ def _nan_block(entry):
 class TestMalformedCheckpoint:
     @pytest.mark.parametrize("make, detail", [
         pytest.param(lambda text: b'{"format_version": 1}', "missing key 'dim'", id="v1-stub"),
-        pytest.param(_ckpt_edited(lambda p: p.pop("cover")), "missing key 'cover'", id="missing-cover"),
-        pytest.param(_ckpt_edited(lambda p: _layer(p)["conditioner"].pop("weights")),
+        pytest.param(_json_edited(lambda p: p.pop("cover")), "missing key 'cover'", id="missing-cover"),
+        pytest.param(_json_edited(lambda p: _layer(p)["conditioner"].pop("weights")),
                      "charts[0].phi.layers[0].conditioner: missing key 'weights'", id="missing-weights"),
-        pytest.param(_ckpt_edited(lambda p: p.update(dim="three")), "dim: invalid literal", id="dim-not-int"),
-        pytest.param(_ckpt_edited(lambda p: p["cover"].update(charts=5)), "cover.charts: ", id="charts-not-list"),
-        pytest.param(_ckpt_edited(lambda p: p["charts"].__setitem__(1, 7)),
+        pytest.param(_json_edited(lambda p: p.update(dim="three")), "dim: invalid literal", id="dim-not-int"),
+        pytest.param(_json_edited(lambda p: p["cover"].update(charts=5)), "cover.charts: ", id="charts-not-list"),
+        pytest.param(_json_edited(lambda p: p["charts"].__setitem__(1, 7)),
                      "charts[1]: int has no key", id="chart-not-object"),
-        pytest.param(_ckpt_edited(lambda p: _layer(p)["conditioner"]["biases"][0].update(f8="not base64!")),
+        pytest.param(_json_edited(lambda p: _layer(p)["conditioner"]["biases"][0].update(f8="not base64!")),
                      "charts[0].phi.layers[0].conditioner.biases[0]: 'f8' is not base64", id="bad-base64"),
-        pytest.param(_ckpt_edited(lambda p: _layer(p, "gamma")["conditioner"]["weights"][1].update(shape=[3, 3])),
+        pytest.param(_json_edited(lambda p: _layer(p, "gamma")["conditioner"]["weights"][1].update(shape=[3, 3])),
                      "charts[0].gamma.layers[0].conditioner.weights[1]: 'f8' holds", id="byte-count"),
-        pytest.param(_ckpt_edited(lambda p: _layer(p)["conditioner"]["weights"][0]["shape"].reverse()),
+        pytest.param(_json_edited(lambda p: _layer(p)["conditioner"]["weights"][0]["shape"].reverse()),
                      "charts[0].phi.layers[0].conditioner", id="wrong-shape"),
-        pytest.param(_ckpt_edited(lambda p: p["config"].update(bogus=1)),
+        pytest.param(_json_edited(lambda p: p["config"].update(bogus=1)),
                      "argument 'bogus'", id="unknown-config-key"),
-        pytest.param(_ckpt_edited(lambda p: p["config"].update(lambda_p=5.0)),
+        pytest.param(_json_edited(lambda p: p["config"].update(lambda_p=5.0)),
                      "config: lambda_p must lie in (0, 1]", id="invalid-config"),
-        pytest.param(_ckpt_edited(lambda p: p["charts"][0].update(c_k=p["charts"][0]["c_k"] / 2)),
+        pytest.param(_json_edited(lambda p: p["charts"][0].update(c_k=p["charts"][0]["c_k"] / 2)),
                      "chart weights c_k sum to", id="weights-not-normalized"),
-        pytest.param(_ckpt_edited(lambda p: p["cover"]["charts"][0].append(10**6)),
+        pytest.param(_json_edited(lambda p: p["cover"]["charts"][0].append(10**6)),
                      "cover: chart 0 indexes a point outside", id="cover-index"),
-        pytest.param(_ckpt_edited(lambda p: p["charts"][0].update(members=[1.5, 1000000000])),
+        pytest.param(_json_edited(lambda p: p["charts"][0].update(members=[1.5, 1000000000])),
                      "charts[0].members: expected integer indices", id="members-not-integer"),
-        pytest.param(_ckpt_edited(lambda p: p["charts"][1]["members"].pop()),
+        pytest.param(_json_edited(lambda p: p["charts"][1]["members"].pop()),
                      "charts[1].members: differ from cover.charts[1]", id="members-differ"),
-        pytest.param(_ckpt_edited(lambda p: _nan_block(_layer(p)["conditioner"]["biases"][1])),
+        pytest.param(_json_edited(lambda p: p["cover"]["nerve_edges"].pop()),
+                     "cover.nerve_edges: disagrees with the charts", id="cover-nerve-edited"),
+        pytest.param(_json_edited(lambda p: _nan_block(_layer(p)["conditioner"]["biases"][1])),
                      "charts[0].phi.layers[0].conditioner.biases[1]: non-finite value at index (0,)",
                      id="non-finite-parameter"),
     ])
@@ -391,6 +424,18 @@ class TestEvalBoundaryCommand:
         assert len(rows) > 1
         for r in rows:
             assert r["cover_mse"] == r["partition_mse"]
+
+    def test_cover_without_overlap_exit_7(self, tiny_checkpoint, torus_csv, tmp_path, capsys):
+        ckpt, _ = tiny_checkpoint
+        flat_cover = tmp_path / "flat_cover.json"
+        _run(["cover", "--data", str(torus_csv), "--perc-overlap", "0", "-o", str(flat_cover)])
+        capsys.readouterr()
+        rc = _run(["eval-boundary", "--data", str(torus_csv), "--cover", str(flat_cover),
+                   "--cover-checkpoint", str(ckpt), "--partition-checkpoint", str(ckpt),
+                   "-o", str(tmp_path / "t.csv")])
+        assert rc == 7
+        err = capsys.readouterr().err
+        assert str(flat_cover) in err and "no boundary points" in err
 
     def test_label_mismatch_exit_6(self, tiny_checkpoint, torus_csv, tmp_path):
         # a cover built with different Mapper settings has a different chart

@@ -141,7 +141,7 @@ def _oracle_refine_partition(charts, n):
     signatures = {}
     for i, owners in enumerate(_oracle_membership(charts, n)):
         signatures.setdefault(tuple(owners), []).append(i)
-    return [(signatures[sig], sig, len(sig), len(signatures[sig]) / n) for sig in sorted(signatures)]
+    return [(signatures[sig], sig, len(signatures[sig]) / n) for sig in sorted(signatures)]
 
 
 def _oracle_partition_from_cover(charts, points):
@@ -193,7 +193,7 @@ def _random_cover(rng, n=60, n_charts=7):
 
 
 def _merged(charts, points, min_size):
-    mask = cov._merge_small_charts(cov.ChartCover(len(points), charts).membership_mask(), points, min_size)
+    mask = cov._merge_small_charts(cov.ChartCover(len(points), charts).mask, points, min_size)
     return [np.flatnonzero(row).tolist() for row in mask]
 
 
@@ -203,11 +203,13 @@ class TestMaskFunctionsMatchLoopOracles:
         for trial in range(40):
             points, cover = _random_cover(rng, n=int(rng.integers(5, 80)), n_charts=int(rng.integers(1, 9)))
             want = _oracle_refine_partition(cover.charts, cover.n_points)
-            got = cov.refine_partition(cover).cells
-            assert [(idx.tolist(), sig, n, nu) for idx, sig, n, nu in got] == want
+            got = cov.refine_partition(cover)
+            assert [(idx.tolist(), sig, nu) for idx, sig, nu in got] == want
             labels = cov.partition_from_cover(cover, points)
             assert labels.tolist() == _oracle_partition_from_cover(cover.charts, points)
-            assert cov._nerve_edges(cover.membership_mask()) == _oracle_nerve_edges(cover.charts)
+            assert cover.nerve_edges == _oracle_nerve_edges(cover.charts)
+            owners = _oracle_membership(cover.charts, cover.n_points)
+            assert cover.multiplicity.tolist() == [len(o) for o in owners]
             for min_size in (1, 4, 12):
                 want = [c.tolist() for c in _oracle_merge_small_charts(cover.charts, points, min_size)]
                 assert _merged(cover.charts, points, min_size) == want
@@ -279,34 +281,40 @@ class TestMapperCover:
         assert cover.nerve_edges == expected
 
 
+class TestChartCover:
+    def test_overlapping_charts_derive_nerve_and_multiplicity(self):
+        cover = cov.ChartCover(4, [[0, 1, 2], [1, 2, 3]])
+        assert cover.nerve_edges == {(0, 1)}
+        assert cover.multiplicity.tolist() == [1, 2, 2, 1]
+        assert cover.mask.tolist() == [[True, True, True, False], [False, True, True, True]]
+
+    def test_index_outside_points_rejected(self):
+        with pytest.raises(CoverError, match="chart 1 indexes a point outside 0..3"):
+            cov.ChartCover(4, [[0, 1, 2], [3, 4]])
+
+
 class TestRefinedPartition:
     def test_two_chart_example(self):
         cover = cov.ChartCover(n_points=4, charts=[np.array([0, 1, 2]), np.array([1, 2, 3])])
-        part = cov.refine_partition(cover)
-        cells = {sig: (idx.tolist(), n, nu) for idx, sig, n, nu in part.cells}
-        assert cells[(0,)] == ([0], 1, 0.25)
-        assert cells[(1,)] == ([3], 1, 0.25)
-        assert cells[(0, 1)] == ([1, 2], 2, 0.5)
+        cells = {sig: (idx.tolist(), nu) for idx, sig, nu in cov.refine_partition(cover)}
+        assert cells[(0,)] == ([0], 0.25)
+        assert cells[(1,)] == ([3], 0.25)
+        assert cells[(0, 1)] == ([1, 2], 0.5)
 
     def test_disjoint_charts(self):
         cover = cov.ChartCover(n_points=5, charts=[np.array([0, 1]), np.array([2, 3, 4])])
-        part = cov.refine_partition(cover)
-        assert part.n_cells == 2
-        assert all(n == 1 for _, _, n, _ in part.cells)
+        cells = cov.refine_partition(cover)
+        assert len(cells) == 2
+        assert all(len(sig) == 1 for _, sig, _ in cells)
 
     def test_nu_sums_to_one(self):
         cloud = synth.gen_torus(synth.ManifoldSpec("torus", 2000, 0.1, seed=3))
         cover = cov.mapper_cover(cloud.points, cov.MapperConfig(5, 0.45, 1.0))
-        part = cov.refine_partition(cover)
-        assert abs(sum(nu for *_, nu in part.cells) - 1.0) < 1e-12
+        assert abs(sum(nu for *_, nu in cov.refine_partition(cover)) - 1.0) < 1e-12
 
     def test_uncovered_point_rejected(self):
-        cover = cov.ChartCover.__new__(cov.ChartCover)
-        cover.n_points = 3
-        cover.charts = [np.array([0, 1])]
-        cover.nerve_edges = set()
-        cover.multiplicity = np.array([1, 1, 0])
-        with pytest.raises(CoverError):
+        cover = cov.ChartCover(n_points=3, charts=[np.array([0, 1])])
+        with pytest.raises(CoverError, match="point 2 is not covered"):
             cov.refine_partition(cover)
 
 

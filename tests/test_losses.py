@@ -195,13 +195,25 @@ class TestExpectedPoints:
         np.testing.assert_allclose(ep.xhat, fl.reconstruct(f, 2, pts), atol=1e-12)
 
 
+def _passes(f, n, x):
+    """The batch passes compatibility_loss reads, run directly: the
+    reference that manifold_loss_parts' shared passes must match."""
+    z, _, fwd_caches = fl.stack_forward_cached(f, x)
+    xr, _, inv_caches = fl.stack_inverse_cached(f, fl.project(z, n))
+    return lo.Passes(z, fwd_caches, xr, inv_caches)
+
+
+def _compat(f, batch, xhat, **kw):
+    return lo.compatibility_loss(f, 2, batch, xhat, _passes(f, 2, batch.x), **kw)
+
+
 class TestCompatibility:
     def test_zero_when_reconstructions_match(self):
         f = _perturbed_flow(3, seed=18)
         pts = np.random.default_rng(19).normal(size=(6, 3))
         xhat = lo.ExpectedPoints(xhat=fl.reconstruct(f, 2, pts), epoch=1)
         batch = lo.Batch(indices=np.arange(6), x=pts, multiplicity=np.full(6, 2))
-        loss, grads = lo.compatibility_loss(f, 2, batch, xhat)
+        loss, grads = _compat(f, batch, xhat)
         assert loss < 1e-20
 
     def test_single_overlap_point_value(self):
@@ -209,7 +221,7 @@ class TestCompatibility:
         x = np.array([[1.0, 0.0, 0.0]])
         xhat = lo.ExpectedPoints(xhat=np.zeros((1, 3)), epoch=1)
         batch = lo.Batch(indices=np.array([0]), x=x, multiplicity=np.array([2]))
-        loss, _ = lo.compatibility_loss(f, 2, batch, xhat)
+        loss, _ = _compat(f, batch, xhat)
         # identity reconstruction of (1,0,0) is itself; squared gap to 0 is 1
         assert loss == pytest.approx(1.0)
 
@@ -221,7 +233,7 @@ class TestCompatibility:
             multiplicity=np.ones(4, dtype=int),
         )
         xhat = lo.ExpectedPoints(xhat=np.zeros((4, 3)), epoch=1)
-        loss, grads = lo.compatibility_loss(f, 2, batch, xhat)
+        loss, grads = _compat(f, batch, xhat)
         assert loss == 0.0
         assert all(np.all(g == 0) for g in grads)
 
@@ -230,9 +242,9 @@ class TestCompatibility:
         batch = lo.Batch(indices=np.arange(2), x=np.zeros((2, 3)), multiplicity=np.full(2, 2))
         xhat = lo.ExpectedPoints(xhat=np.zeros((2, 3)), epoch=1)
         with pytest.raises(StaleExpectedPointsError):
-            lo.compatibility_loss(f, 2, batch, xhat, epoch=3, max_age=2)
+            _compat(f, batch, xhat, epoch=3, max_age=2)
         # age below the limit is fine
-        lo.compatibility_loss(f, 2, batch, xhat, epoch=2, max_age=2)
+        _compat(f, batch, xhat, epoch=2, max_age=2)
 
     def test_gradient_fd(self):
         f = _perturbed_flow(3, seed=22)
@@ -243,7 +255,7 @@ class TestCompatibility:
             multiplicity=np.array([2, 1, 2, 2, 1]),
         )
         xhat = lo.ExpectedPoints(xhat=rng.normal(size=(5, 3)), epoch=1)
-        _fd_check(f, lambda: lo.compatibility_loss(f, 2, batch, xhat))
+        _fd_check(f, lambda: _compat(f, batch, xhat))
 
     @pytest.mark.parametrize("lam", [0.1, 0.0, 1.0])
     def test_shared_passes_bit_identical(self, lam):
@@ -258,8 +270,8 @@ class TestCompatibility:
         )
         xhat = lo.ExpectedPoints(xhat=rng.normal(size=(9, 3)), epoch=1)
         _, _, parts, passes = lo.manifold_loss_parts(f, 2, batch, lam)
-        shared = lo.compatibility_loss(f, 2, batch, xhat, passes=passes)
-        alone = lo.compatibility_loss(f, 2, batch, xhat)
+        shared = lo.compatibility_loss(f, 2, batch, xhat, passes)
+        alone = _compat(f, batch, xhat)
         assert shared[0] == alone[0] > 0
         for got, want in zip(shared[1], alone[1]):
             np.testing.assert_array_equal(got, want)
@@ -306,5 +318,5 @@ def test_losses_finite_and_nonnegative():
     _, _, parts, _ = lo.manifold_loss_parts(f, 2, batch, 0.5)
     assert parts["recon"] >= 0 and parts["dist"] >= 0
     xhat = lo.ExpectedPoints(xhat=rng.normal(size=(6, 3)), epoch=0)
-    assert lo.compatibility_loss(f, 2, batch, xhat)[0] >= 0
+    assert _compat(f, batch, xhat)[0] >= 0
     assert math.isfinite(lo.density_nll(f, x)[0])
