@@ -29,7 +29,8 @@ import base64
 import binascii
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+import numbers
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -61,6 +62,8 @@ from .nnopt import AdamState, LrSchedule, adam_step, clip_global_norm, init_adam
 from .synth import PointCloud
 
 CHECKPOINT_FORMAT_VERSION = 2
+# annotation of a scalar TrainConfig field -> (accepted type, what to call it)
+_NUMERIC_TYPES = {"int": (numbers.Integral, "an integer"), "float": (numbers.Real, "a number")}
 
 
 @dataclass
@@ -94,6 +97,12 @@ class TrainConfig:
     mapper: MapperConfig = field(default_factory=MapperConfig)
 
     def __post_init__(self):
+        for f in fields(self):
+            if f.type in _NUMERIC_TYPES:
+                kind, noun = _NUMERIC_TYPES[f.type]
+                value = getattr(self, f.name)
+                if isinstance(value, bool) or not isinstance(value, kind):
+                    raise ValueError(f"{f.name} must be {noun}, got {value!r}")
         if isinstance(self.mapper, dict):
             self.mapper = MapperConfig(**self.mapper)
         self.epochs = tuple(int(e) for e in self.epochs)
@@ -118,22 +127,8 @@ class TrainConfig:
             raise ValueError("weight_decay must be >= 0")
 
 
-def torus_defaults(**overrides) -> TrainConfig:
-    cfg = TrainConfig(
-        latent_dim=2,
-        n_layers=13,
-        epochs=(60, 30, 60, 60, 60),
-        lambda_m=100.0,
-        lambda_p=0.1,
-        lambda_o=25.0,
-        lambda_d=0.01,
-        mapper=MapperConfig(n_cubes=5, perc_overlap=0.45, linkage_threshold=1.0),
-    )
-    return replace(cfg, **overrides) if overrides else cfg
-
-
-def trefoil_defaults(**overrides) -> TrainConfig:
-    cfg = TrainConfig(
+def trefoil_defaults() -> TrainConfig:
+    return TrainConfig(
         latent_dim=1,
         n_layers=11,
         epochs=(15, 30, 60, 60, 60),
@@ -143,7 +138,6 @@ def trefoil_defaults(**overrides) -> TrainConfig:
         lambda_d=0.1,
         mapper=MapperConfig(n_cubes=2, perc_overlap=0.2, linkage_threshold=1.0),
     )
-    return replace(cfg, **overrides) if overrides else cfg
 
 
 @dataclass
@@ -467,61 +461,44 @@ def sample(model: AtlasModel, count: int, rng: np.random.Generator):
     return PointCloud(points=out), labels
 
 
-def chart_log_density(model: AtlasModel, x: np.ndarray, k: int, latents=None) -> np.ndarray:
-    """log p of chart k at points x, including the embedding volume term.
-
-    ``latents`` are chart k's latent codes of x when the caller already has
-    them; the ``phi`` forward pass is then skipped.
-    """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
+def chart_log_density(model: AtlasModel, v: np.ndarray, k: int) -> np.ndarray:
+    """log p of chart k at the points whose chart-k latent codes are ``v``,
+    including the embedding volume term."""
     chart = model.charts[k]
     n = model.latent_dim
-    v = fl.latent_codes(chart.phi, n, x) if latents is None else latents
-    w, ld = fl.stack_forward(chart.gamma, np.atleast_2d(v))
+    w, ld = fl.stack_forward(chart.gamma, v)
     log_normal = -0.5 * n * LOG_TWO_PI - 0.5 * (w * w).sum(axis=1)
-    gram = fl.embedding_gram_logdet(chart.phi, n, np.atleast_2d(v))
+    gram = fl.embedding_gram_logdet(chart.phi, n, v)
     return log_normal + ld - gram
 
 
-def log_density(
-    model: AtlasModel,
-    x: np.ndarray,
-    chart: int | None = None,
-    membership_threshold: float | None = None,
-) -> np.ndarray:
-    """Manifold log-density log sum_k c_k p_k(x).
+def log_density(model: AtlasModel, x: np.ndarray) -> np.ndarray:
+    """Manifold log-density log sum_k c_k p_k(x) of a (rows, dim) batch.
 
-    A chart participates when its reconstruction of x lands within the
-    membership threshold; the nearest chart always participates so the
-    result stays finite.
+    A chart participates when its reconstruction of x lands within
+    ``model.config.membership_threshold``; the nearest chart always
+    participates so the result stays finite.
     """
-    x_arr = np.atleast_2d(np.asarray(x, dtype=float))
-    if chart is not None:
-        out = chart_log_density(model, x_arr, chart)
-        return out if np.asarray(x).ndim > 1 else out[0]
-    thresh = model.config.membership_threshold if membership_threshold is None else membership_threshold
     n_charts = model.cover.n_charts
     n = model.latent_dim
-    recon_err = np.empty((n_charts, x_arr.shape[0]))
+    recon_err = np.empty((n_charts, x.shape[0]))
     latents = []
     for k, cm in enumerate(model.charts):
         # fl.reconstruct, keeping the latent codes for the density terms below
-        z, _ = fl.stack_forward(cm.phi, x_arr)
+        z, _ = fl.stack_forward(cm.phi, x)
         xr, _ = fl.stack_inverse(cm.phi, fl.project(z, n))
-        recon_err[k] = np.linalg.norm(xr - x_arr, axis=1)
+        recon_err[k] = np.linalg.norm(xr - x, axis=1)
         latents.append(z[:, :n])
-    include = recon_err <= thresh
-    include[recon_err.argmin(axis=0), np.arange(x_arr.shape[0])] = True
-    log_terms = np.full((n_charts, x_arr.shape[0]), -np.inf)
+    include = recon_err <= model.config.membership_threshold
+    include[recon_err.argmin(axis=0), np.arange(x.shape[0])] = True
+    log_terms = np.full((n_charts, x.shape[0]), -np.inf)
     for k, cm in enumerate(model.charts):
         rows = np.flatnonzero(include[k])
         if rows.size == 0:
             continue
-        log_p = chart_log_density(model, x_arr[rows], k, latents=latents[k][rows])
-        log_terms[k, rows] = math.log(cm.c_k) + log_p
+        log_terms[k, rows] = math.log(cm.c_k) + chart_log_density(model, latents[k][rows], k)
     m = log_terms.max(axis=0)
-    out = m + np.log(np.exp(log_terms - m).sum(axis=0))
-    return out if np.asarray(x).ndim > 1 else out[0]
+    return m + np.log(np.exp(log_terms - m).sum(axis=0))
 
 
 def _pack(a: np.ndarray) -> dict:
@@ -561,7 +538,7 @@ def _flow_to_dict(f: fl.FlowStack) -> dict:
         }
         if layer.conditioner is not None:
             entry["conditioner"] = {
-                "activation": layer.conditioner.activation,
+                "activation": "tanh",
                 "weights": [_pack(w) for w in layer.conditioner.weights],
                 "biases": [_pack(b) for b in layer.conditioner.biases],
             }
@@ -571,17 +548,24 @@ def _flow_to_dict(f: fl.FlowStack) -> dict:
     return {"dim": f.dim, "layers": layers}
 
 
+def _conditioner_from_dict(entry: dict) -> fl.MlpParams:
+    params = fl.MlpParams(
+        weights=_decode(entry, "weights", _each(_unpack)),
+        biases=_decode(entry, "biases", _each(_unpack)),
+    )
+    activation = _decode(entry, "activation", str)
+    if activation != "tanh":
+        raise _Malformed(["activation"], f"{activation!r} unsupported: hidden layers are tanh")
+    return params
+
+
 def _flow_from_dict(payload: dict) -> fl.FlowStack:
     dim = _decode(payload, "dim", int)
 
     def layer(entry: dict) -> fl.CouplingLayer:
         cond = raw = None
         if "conditioner" in entry:
-            cond = _decode(entry, "conditioner", lambda c: fl.MlpParams(
-                weights=_decode(c, "weights", _each(_unpack)),
-                biases=_decode(c, "biases", _each(_unpack)),
-                activation=_decode(c, "activation", str),
-            ))
+            cond = _decode(entry, "conditioner", _conditioner_from_dict)
         else:
             raw = _decode(entry, "raw", _each(_unpack))
         return fl.CouplingLayer(

@@ -69,11 +69,15 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
                    help="hyperparameter preset (default torus)")
     p.add_argument("--config", help="JSON config file; unknown keys are rejected")
     p.add_argument("--latent-dim", type=int, help="manifold dimension n (torus 2, trefoil 1)")
-    p.add_argument("--layers", type=int, help="coupling layers per flow (torus 13, trefoil 11)")
-    p.add_argument("--bins", type=int, help="spline bins per coordinate (default 8)")
+    p.add_argument("--layers", type=int, dest="n_layers", metavar="LAYERS",
+                   help="coupling layers per flow (torus 13, trefoil 11)")
+    p.add_argument("--bins", type=int, dest="n_bins", metavar="BINS",
+                   help="spline bins per coordinate (default 8)")
     p.add_argument("--hidden", help="conditioner hidden sizes, comma separated (default 64,64)")
-    p.add_argument("--lr", type=float, help="initial Adam rate (default 0.0015)")
-    p.add_argument("--batch", type=int, help="batch size (default 256)")
+    p.add_argument("--lr", type=float, dest="learning_rate", metavar="LR",
+                   help="initial Adam rate (default 0.0015)")
+    p.add_argument("--batch", type=int, dest="batch_size", metavar="BATCH",
+                   help="batch size (default 256)")
     for i in range(1, 6):
         p.add_argument(f"--epochs-e{i}", type=int,
                        help=f"epochs for phase {i} (torus 60,30,60,60,60; trefoil 15,30,60,60,60)")
@@ -81,7 +85,8 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--lambda-p", type=float, help="final distance-loss weight (torus 0.1, trefoil 0.01)")
     p.add_argument("--lambda-o", type=float, help="compatibility weight (torus 25, trefoil 100)")
     p.add_argument("--lambda-d", type=float, help="density loss weight (torus 0.01, trefoil 0.1)")
-    p.add_argument("--cs", type=int, help="expected-point refresh interval C_s (default 2)")
+    p.add_argument("--cs", type=int, dest="c_s", metavar="CS",
+                   help="expected-point refresh interval C_s (default 2)")
     p.add_argument("--clip-norm", type=float, help="global gradient clip norm (default 5)")
     p.add_argument("--weight-decay", type=float, help="decoupled weight decay (default 1e-4)")
     p.add_argument("--isomap-k", type=int, help="Isomap neighbor count (default 10)")
@@ -124,29 +129,12 @@ def _mapper_config(args, base: cov.MapperConfig) -> cov.MapperConfig:
 
 
 def _build_config(args) -> atlas.TrainConfig:
-    base = atlas.trefoil_defaults() if args.preset == "trefoil" else atlas.torus_defaults()
+    base = atlas.trefoil_defaults() if args.preset == "trefoil" else atlas.TrainConfig()
     values = asdict(base)
     if getattr(args, "config", None):
         values.update(_load_config_file(args.config))
-    flag_map = {
-        "latent_dim": args.latent_dim,
-        "n_layers": args.layers,
-        "n_bins": args.bins,
-        "learning_rate": args.lr,
-        "batch_size": args.batch,
-        "lambda_m": args.lambda_m,
-        "lambda_p": args.lambda_p,
-        "lambda_o": args.lambda_o,
-        "lambda_d": args.lambda_d,
-        "c_s": args.cs,
-        "clip_norm": args.clip_norm,
-        "weight_decay": args.weight_decay,
-        "isomap_k": args.isomap_k,
-        "seed": args.seed,
-    }
-    for key, val in flag_map.items():
-        if val is not None:
-            values[key] = val
+    # each TrainConfig flag's dest is its field; --hidden is converted below
+    values.update({key: val for key, val in vars(args).items() if key in _CONFIG_KEYS and val is not None})
     if values.get("seed") is None:
         values["seed"] = _default_seed()
     try:

@@ -278,6 +278,8 @@ def _each(fn):
 
 def _indices(v) -> np.ndarray:
     a = np.asarray(v)
+    if a.ndim != 1:
+        raise ValueError(f"expected a flat list of indices, got {a.ndim}-D")
     if a.size and a.dtype.kind != "i":
         raise ValueError(f"expected integer indices, got {a.dtype} values")
     return a.astype(int)

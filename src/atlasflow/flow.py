@@ -13,6 +13,11 @@ first-order partials of the forward map are ever needed:
 
     x = f^{-1}(y; theta)  =>  dx/dy = 1/f'(x),  dx/dtheta = -f_theta(x)/f'(x).
 
+Every pass maps a (rows, dim) float batch; the value functions do not
+accept single vectors.  One layer pass serves both directions: the
+``inverse`` flag picks the spline's inverse, the rest of the layer is shared.
+The two VJPs stay separate because their algebra differs.
+
 A VJP reads the spline and MLP caches of every layer of the pass it follows.
 ``stack_forward_cached``/``stack_inverse_cached`` keep them by default and
 return one per layer; that is the training path.  ``stack_forward`` and
@@ -179,7 +184,7 @@ def _core_backward(cache, gy, gl):
     g_dk = g_n * hk * a + g_dd * a + g_p * (1.0 - xi) ** 2
     g_dk1 = g_dd * a + g_p * xi * xi
     g_hk = g_n * nsum + g_s / wk
-    g_yk = gy.copy() if isinstance(gy, np.ndarray) else np.asarray(gy, dtype=float)
+    g_yk = gy
     g_wk = -g_s * s / wk - g_xi * xi / wk
     g_xk = -g_xi / wk
     g_x = g_xi / wk
@@ -307,21 +312,17 @@ def _layer_raw(layer: CouplingLayer, x_id: np.ndarray):
     return theta[..., :k], theta[..., k : 2 * k], theta[..., 2 * k :], (mlp_cache, theta)
 
 
-def coupling_forward_cached(layer: CouplingLayer, x: np.ndarray):
+def _coupling_pass(layer: CouplingLayer, x: np.ndarray, inverse: bool):
+    """The layer's map (its inverse if ``inverse``) on a batch: (out, logdet, cache)."""
     if x.shape[-1] != layer.dim:
         raise ValueError(f"input dim {x.shape[-1]} != layer dim {layer.dim}")
-    x_id = x[:, layer.id_idx]
-    uw, uh, ud, cond_cache = _layer_raw(layer, x_id)
-    t = x[:, layer.tr_idx]
-    yt, ld_elem, sp_cache = _spline_apply(uw, uh, ud, layer.bound, t)
-    is_identity = not (uw.any() or uh.any() or ud.any())
-    y = x.copy()
-    if is_identity:
-        ld = np.zeros(x.shape[0])
-    else:
-        y[:, layer.tr_idx] = yt
-        ld = ld_elem.sum(axis=-1)
-    return y, ld, (cond_cache, sp_cache)
+    uw, uh, ud, cond_cache = _layer_raw(layer, x[:, layer.id_idx])
+    t, ld_elem, sp_cache = _spline_apply(uw, uh, ud, layer.bound, x[:, layer.tr_idx], inverse=inverse)
+    out = x.copy()
+    if not (uw.any() or uh.any() or ud.any()):
+        return out, np.zeros(x.shape[0]), (cond_cache, sp_cache)
+    out[:, layer.tr_idx] = t
+    return out, ld_elem.sum(axis=-1), (cond_cache, sp_cache)
 
 
 def coupling_forward_vjp(layer: CouplingLayer, cache, gy: np.ndarray, glogdet):
@@ -334,23 +335,6 @@ def coupling_forward_vjp(layer: CouplingLayer, cache, gy: np.ndarray, glogdet):
     gx = gy.copy()
     gx[:, layer.tr_idx] = g_t
     return _assemble_param_grads(layer, cache, g_uw, g_uh, g_ud, gx)
-
-
-def coupling_inverse_cached(layer: CouplingLayer, y: np.ndarray):
-    if y.shape[-1] != layer.dim:
-        raise ValueError(f"input dim {y.shape[-1]} != layer dim {layer.dim}")
-    y_id = y[:, layer.id_idx]
-    uw, uh, ud, cond_cache = _layer_raw(layer, y_id)
-    t = y[:, layer.tr_idx]
-    xt, ld_elem, sp_cache = _spline_apply(uw, uh, ud, layer.bound, t, inverse=True)
-    is_identity = not (uw.any() or uh.any() or ud.any())
-    x = y.copy()
-    if is_identity:
-        ld = np.zeros(y.shape[0])
-    else:
-        x[:, layer.tr_idx] = xt
-        ld = ld_elem.sum(axis=-1)
-    return x, ld, (cond_cache, sp_cache)
 
 
 def coupling_inverse_vjp(layer: CouplingLayer, cache, gx: np.ndarray):
@@ -445,7 +429,7 @@ def make_flow(
             layers.append(CouplingLayer(dim=dim, id_idx=id_idx, tr_idx=tr_idx, n_bins=n_bins, bound=bound))
         else:
             sizes = [id_idx.size, *hidden, tr_idx.size * (3 * n_bins - 1)]
-            cond = init_mlp(sizes, rng, activation="tanh", zero_last=True)
+            cond = init_mlp(sizes, rng, zero_last=True)
             layers.append(
                 CouplingLayer(
                     dim=dim, id_idx=id_idx, tr_idx=tr_idx, n_bins=n_bins, bound=bound, conditioner=cond
@@ -454,12 +438,9 @@ def make_flow(
     return FlowStack(dim=dim, layers=layers)
 
 
-def stack_forward(f: FlowStack, x):
+def stack_forward(f: FlowStack, x: np.ndarray):
     """Forward values and log-determinants, keeping no VJP caches."""
-    z, ld, _ = stack_forward_cached(f, np.atleast_2d(np.asarray(x, dtype=float)), keep_caches=False)
-    if np.asarray(x).ndim == 1:
-        return z[0], float(ld[0])
-    return z, ld
+    return stack_forward_cached(f, x, keep_caches=False)[:2]
 
 
 def stack_forward_cached(f: FlowStack, x: np.ndarray, keep_caches: bool = True):
@@ -469,7 +450,7 @@ def stack_forward_cached(f: FlowStack, x: np.ndarray, keep_caches: bool = True):
     h = x
     ld = np.zeros(x.shape[0])
     for i, layer in enumerate(f.layers):
-        h, ldi, caches[i] = coupling_forward_cached(layer, h)
+        h, ldi, caches[i] = _coupling_pass(layer, h, inverse=False)
         if not keep_caches:
             caches[i] = None
         ld = ld + ldi
@@ -488,12 +469,9 @@ def stack_forward_vjp(f: FlowStack, caches, gz: np.ndarray, glogdet=None):
     return g, flat
 
 
-def stack_inverse(f: FlowStack, z):
+def stack_inverse(f: FlowStack, z: np.ndarray):
     """Inverse values and log-determinants, keeping no VJP caches."""
-    x, ld, _ = stack_inverse_cached(f, np.atleast_2d(np.asarray(z, dtype=float)), keep_caches=False)
-    if np.asarray(z).ndim == 1:
-        return x[0], float(ld[0])
-    return x, ld
+    return stack_inverse_cached(f, z, keep_caches=False)[:2]
 
 
 def stack_inverse_cached(f: FlowStack, z: np.ndarray, keep_caches: bool = True):
@@ -503,7 +481,7 @@ def stack_inverse_cached(f: FlowStack, z: np.ndarray, keep_caches: bool = True):
     h = z
     ld = np.zeros(z.shape[0])
     for i in range(len(f.layers) - 1, -1, -1):
-        h, ldi, caches[i] = coupling_inverse_cached(f.layers[i], h)
+        h, ldi, caches[i] = _coupling_pass(f.layers[i], h, inverse=True)
         if not keep_caches:
             caches[i] = None
         ld = ld + ldi
@@ -528,7 +506,6 @@ def add_grads(a: list[np.ndarray], b: list[np.ndarray]) -> list[np.ndarray]:
 
 def project(v: np.ndarray, n: int) -> np.ndarray:
     """Keep the first n coordinates, zero the rest."""
-    v = np.asarray(v, dtype=float)
     d = v.shape[-1]
     if not 1 <= n <= d:
         raise ValueError(f"latent dim {n} outside [1, {d}]")
@@ -537,57 +514,41 @@ def project(v: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def reconstruct(f: FlowStack, n: int, x):
+def reconstruct(f: FlowStack, n: int, x: np.ndarray) -> np.ndarray:
     """Project onto the learned chart surface: f^{-1}(Proj(f(x)))."""
-    x_arr = np.atleast_2d(np.asarray(x, dtype=float))
-    z, _ = stack_forward(f, x_arr)
-    out, _ = stack_inverse(f, project(z, n))
-    if np.asarray(x).ndim == 1:
-        return out[0]
-    return out
+    z, _ = stack_forward(f, x)
+    return stack_inverse(f, project(z, n))[0]
 
 
-def latent_codes(f: FlowStack, n: int, x) -> np.ndarray:
+def latent_codes(f: FlowStack, n: int, x: np.ndarray) -> np.ndarray:
     """First n coordinates of the forward map."""
-    x_arr = np.atleast_2d(np.asarray(x, dtype=float))
-    z, _ = stack_forward(f, x_arr)
-    out = z[:, :n]
-    if np.asarray(x).ndim == 1:
-        return out[0]
-    return out
+    return stack_forward(f, x)[0][:, :n]
 
 
-def embed_latent(f: FlowStack, v) -> np.ndarray:
+def embed_latent(f: FlowStack, v: np.ndarray) -> np.ndarray:
     """Latent -> ambient: f^{-1}((v, 0))."""
-    v_arr = np.atleast_2d(np.asarray(v, dtype=float))
-    padded = np.zeros((v_arr.shape[0], f.dim))
-    padded[:, : v_arr.shape[1]] = v_arr
-    out, _ = stack_inverse(f, padded)
-    if np.asarray(v).ndim == 1:
-        return out[0]
-    return out
+    padded = np.zeros((v.shape[0], f.dim))
+    padded[:, : v.shape[1]] = v
+    return stack_inverse(f, padded)[0]
 
 
-def embedding_gram_logdet(f: FlowStack, n: int, v, step: float = GRAM_FD_STEP):
+def embedding_gram_logdet(f: FlowStack, n: int, v: np.ndarray) -> np.ndarray:
     """0.5 * log det(J^T J) for the embedding v -> f^{-1}((v, 0)).
 
-    The d x n Jacobian is taken by forward differences; this term only enters
-    density evaluation, never training losses.
+    The d x n Jacobian is taken by forward differences of step
+    ``GRAM_FD_STEP``; this term only enters density evaluation, never
+    training losses.
     """
-    v_arr = np.atleast_2d(np.asarray(v, dtype=float))
-    b, nv = v_arr.shape
+    b, nv = v.shape
     if nv != n:
         raise ValueError(f"latent dim mismatch: {nv} != {n}")
-    queries = np.repeat(v_arr, n + 1, axis=0)
+    queries = np.repeat(v, n + 1, axis=0)
     for i in range(n):
-        queries[i + 1 :: n + 1, i] += step
+        queries[i + 1 :: n + 1, i] += GRAM_FD_STEP
     emb = embed_latent(f, queries).reshape(b, n + 1, f.dim)
-    jac = (emb[:, 1:, :] - emb[:, :1, :]) / step  # (b, n, d)
+    jac = (emb[:, 1:, :] - emb[:, :1, :]) / GRAM_FD_STEP  # (b, n, d)
     gram = jac @ jac.transpose(0, 2, 1)
     sign, logdet = np.linalg.slogdet(gram)
     if np.any(sign <= 0) or not np.all(np.isfinite(logdet)):
         raise NumericError("embedding Gram matrix is singular")
-    out = 0.5 * logdet
-    if np.asarray(v).ndim == 1:
-        return float(out[0])
-    return out
+    return 0.5 * logdet

@@ -199,16 +199,16 @@ def compatibility_loss(
 
 
 def density_nll(flow: FlowStack, latents: np.ndarray):
-    """Negative log-likelihood of latents under the flow-pushed standard normal.
+    """Negative log-likelihood of a (rows, n) batch of latents under the
+    flow-pushed standard normal.
 
     The embedding volume term is intentionally omitted here; it is applied
     at evaluation time only.
     """
-    v = np.atleast_2d(np.asarray(latents, dtype=float))
-    if not np.all(np.isfinite(v)):
+    if not np.all(np.isfinite(latents)):
         raise ValueError("latents contain non-finite entries")
-    b, n = v.shape
-    w, ld, caches = stack_forward_cached(flow, v)
+    b, n = latents.shape
+    w, ld, caches = stack_forward_cached(flow, latents)
     log_normal = -0.5 * n * LOG_TWO_PI - 0.5 * (w * w).sum(axis=1)
     loss = float(-(log_normal + ld).mean())
     gw = w / b

@@ -20,19 +20,16 @@ from .errors import NumericError
 
 @dataclass
 class MlpParams:
-    """Fully-connected net: affine layers with tanh/relu hidden activations
-    and a linear output layer.
+    """Fully-connected net: affine layers with tanh hidden activations and a
+    linear output layer.
 
     ``weights[i]`` has shape (fan_in, fan_out); inputs are row vectors.
     """
 
     weights: list[np.ndarray]
     biases: list[np.ndarray]
-    activation: str = "tanh"
 
     def __post_init__(self):
-        if self.activation not in ("tanh", "relu"):
-            raise ValueError(f"unknown activation {self.activation!r}")
         if len(self.weights) != len(self.biases):
             raise ValueError("weights/biases length mismatch")
         for w, b in zip(self.weights, self.biases):
@@ -69,7 +66,6 @@ class MlpParams:
 def init_mlp(
     sizes: list[int],
     rng: np.random.Generator,
-    activation: str = "tanh",
     zero_last: bool = False,
 ) -> MlpParams:
     """Uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)) weights, zero biases.
@@ -84,15 +80,7 @@ def init_mlp(
         biases.append(np.zeros(fan_out))
     if zero_last:
         weights[-1] = np.zeros_like(weights[-1])
-    return MlpParams(weights=weights, biases=biases, activation=activation)
-
-
-def _activate(z: np.ndarray, kind: str) -> np.ndarray:
-    return np.tanh(z) if kind == "tanh" else np.maximum(z, 0.0)
-
-
-def _activate_grad(z: np.ndarray, a: np.ndarray, kind: str) -> np.ndarray:
-    return 1.0 - a * a if kind == "tanh" else (z > 0).astype(float)
+    return MlpParams(weights=weights, biases=biases)
 
 
 def mlp_forward_cached(params: MlpParams, x: np.ndarray):
@@ -102,15 +90,13 @@ def mlp_forward_cached(params: MlpParams, x: np.ndarray):
     if h.shape[-1] != params.in_dim:
         raise ValueError(f"input dim {h.shape[-1]} != expected {params.in_dim}")
     acts = [h]  # post-activation values per layer, starting with the input
-    pre = []
     n_layers = len(params.weights)
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
         z = h @ w
         z += b
-        pre.append(z)
-        h = z if i == n_layers - 1 else _activate(z, params.activation)
+        h = z if i == n_layers - 1 else np.tanh(z)
         acts.append(h)
-    return h, (acts, pre)
+    return h, acts
 
 
 def mlp_vjp_cached(params: MlpParams, cache, cotangent: np.ndarray):
@@ -118,7 +104,7 @@ def mlp_vjp_cached(params: MlpParams, cache, cotangent: np.ndarray):
 
     Returns (grads, grad_x) with ``grads`` in :meth:`MlpParams.arrays` order.
     """
-    acts, pre = cache
+    acts = cache
     g = np.asarray(cotangent, dtype=float)
     if g.shape[-1] != params.out_dim:
         raise ValueError(f"cotangent dim {g.shape[-1]} != output dim {params.out_dim}")
@@ -127,7 +113,7 @@ def mlp_vjp_cached(params: MlpParams, cache, cotangent: np.ndarray):
     grad_b: list = [None] * n_layers
     for i in range(n_layers - 1, -1, -1):
         if i != n_layers - 1:
-            g = g * _activate_grad(pre[i], acts[i + 1], params.activation)
+            g = g * (1.0 - acts[i + 1] * acts[i + 1])
         grad_w[i] = acts[i].T @ g
         grad_b[i] = g.sum(axis=0)
         g = g @ params.weights[i].T

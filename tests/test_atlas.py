@@ -278,7 +278,7 @@ class TestLogDensity:
             charts=[atlas.ChartModel(0, np.array([0]), phi, gamma, 1.0)],
             cover=cover, config=atlas.TrainConfig(latent_dim=1),
         )
-        got = atlas.log_density(model, np.array([0.0, 0.0]))
+        (got,) = atlas.log_density(model, np.array([[0.0, 0.0]]))
         assert got == pytest.approx(-0.5 * math.log(2 * math.pi), abs=1e-9)
 
     def test_scaling_embedding_shifts_density(self):
@@ -300,7 +300,7 @@ class TestLogDensity:
             charts=[atlas.ChartModel(0, np.array([0]), phi, gamma, 1.0)],
             cover=cover, config=atlas.TrainConfig(latent_dim=1),
         )
-        got = atlas.log_density(model, np.array([0.0, 0.0]))
+        (got,) = atlas.log_density(model, np.array([[0.0, 0.0]]))
         assert got == pytest.approx(-0.5 * math.log(2 * math.pi) - math.log(c), abs=1e-3)
 
     def test_monte_carlo_normalization(self):
@@ -320,16 +320,15 @@ class TestLogDensity:
         n_mc = 100_000
         lim = 6.0
         v = rng.uniform(-lim, lim, size=(n_mc, 1))
-        surface = fl.embed_latent(phi, v)
-        log_p = atlas.chart_log_density(model, surface, 0)
+        log_p = atlas.chart_log_density(model, v, 0)
         gram = fl.embedding_gram_logdet(phi, 1, v)
         integral = float(np.exp(log_p + gram).mean() * (2 * lim))
         assert abs(integral - 1.0) < 0.05
 
     @pytest.mark.parametrize("cached", [p for p in _V1_MODELS if "torus_cover" in p.name], ids=lambda p: p.name)
     def test_matches_per_chart_reference(self, cached):
-        # reference: fl.reconstruct per chart, then chart_log_density running
-        # its own phi forward on the included rows
+        # reference: fl.reconstruct per chart, then chart_log_density on the
+        # latent codes of a phi forward pass over the included rows
         model = atlas.load(cached)
         cloud, _ = atlas.sample(model, 400, np.random.default_rng(3))
         x = cloud.points + np.random.default_rng(4).normal(scale=0.2, size=cloud.points.shape)
@@ -341,7 +340,8 @@ class TestLogDensity:
         for k, cm in enumerate(model.charts):
             rows = np.flatnonzero(include[k])
             if rows.size:
-                terms[k, rows] = math.log(cm.c_k) + atlas.chart_log_density(model, x[rows], k)
+                v = fl.latent_codes(cm.phi, model.latent_dim, x[rows])
+                terms[k, rows] = math.log(cm.c_k) + atlas.chart_log_density(model, v, k)
         m = terms.max(axis=0)
         expected = m + np.log(np.exp(terms - m).sum(axis=0))
         assert include.sum() > len(x)  # some points are scored by two charts
@@ -481,7 +481,7 @@ class TestConfigValidation:
             atlas.TrainConfig(epochs=(1, 2, 3))
 
     def test_presets(self):
-        torus = atlas.torus_defaults()
+        torus = atlas.TrainConfig()
         assert torus.epochs == (60, 30, 60, 60, 60)
         assert torus.lambda_o == 25.0 and torus.lambda_d == 0.01
         knot = atlas.trefoil_defaults()

@@ -156,6 +156,8 @@ class TestBadCoverFile:
         pytest.param(_edited("charts", [[-1]]), "chart 0 indexes a point outside", id="negative-index"),
         pytest.param(_json_edited(lambda p: p["charts"][0].__setitem__(0, 0.5)),
                      "charts[0]: expected integer indices", id="fractional-index"),
+        pytest.param(_json_edited(lambda p: p["charts"].__setitem__(0, [p["charts"][0]])),
+                     "charts[0]: expected a flat list of indices, got 2-D", id="nested-chart"),
         pytest.param(_json_edited(lambda p: p["nerve_edges"].append([0, 99])),
                      "nerve_edges: disagrees with the charts", id="nerve-names-missing-chart"),
         pytest.param(_edited("nerve_edges", []), "nerve_edges: disagrees with the charts", id="emptied-nerve"),
@@ -203,19 +205,22 @@ class TestTrainCommand:
                    "--config", str(cfg), "-o", str(tmp_path / "m.json")])
         assert rc == 2
 
-    @pytest.mark.parametrize("config", [
-        {"mapper": {"n_cubes": 0}},
-        {"mapper": 5},
-        {"epochs": 5},
-        {"learning_rate": "x"},
-    ], ids=["mapper-n-cubes-0", "mapper-not-object", "epochs-not-list", "learning-rate-not-number"])
-    def test_malformed_config_value_exit_2(self, torus_csv, cover_json, tmp_path, capsys, config):
+    @pytest.mark.parametrize("config, detail", [
+        ({"mapper": {"n_cubes": 0}}, "n_cubes"),
+        ({"mapper": 5}, "MapperConfig"),
+        ({"epochs": 5}, ""),
+        ({"learning_rate": "x"}, "learning_rate must be a number, got 'x'"),
+        ({"seed": "x"}, "seed must be an integer, got 'x'"),
+    ], ids=["mapper-n-cubes-0", "mapper-not-object", "epochs-not-list", "learning-rate-not-number",
+            "seed-not-integer"])
+    def test_malformed_config_value_exit_2(self, torus_csv, cover_json, tmp_path, capsys, config, detail):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
         rc = _run(["train", "--data", str(torus_csv), "--cover", str(cover_json),
                    "--config", str(cfg), "-o", str(tmp_path / "m.json")])
         assert rc == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and detail in err
 
     def test_config_file_and_flag_precedence(self, torus_csv, cover_json, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -315,6 +320,11 @@ class TestMalformedCheckpoint:
                      "charts[0].members: expected integer indices", id="members-not-integer"),
         pytest.param(_json_edited(lambda p: p["charts"][1]["members"].pop()),
                      "charts[1].members: differ from cover.charts[1]", id="members-differ"),
+        pytest.param(_json_edited(lambda p: _layer(p).update(tr_idx=[_layer(p)["tr_idx"]])),
+                     "charts[0].phi.layers[0].tr_idx: expected a flat list of indices, got 2-D",
+                     id="nested-tr-idx"),
+        pytest.param(_json_edited(lambda p: _layer(p)["conditioner"].update(activation="relu")),
+                     "charts[0].phi.layers[0].conditioner.activation: 'relu' unsupported", id="activation-relu"),
         pytest.param(_json_edited(lambda p: p["cover"]["nerve_edges"].pop()),
                      "cover.nerve_edges: disagrees with the charts", id="cover-nerve-edited"),
         pytest.param(_json_edited(lambda p: _nan_block(_layer(p)["conditioner"]["biases"][1])),

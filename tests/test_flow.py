@@ -30,21 +30,21 @@ def _spline_stack(seed, n_bins=8, bound=5.0, scale=0.5):
 class TestSpline:
     def test_identity_params(self):
         f = _spline_stack(0, scale=0.0)
-        y, ld = fl.stack_forward(f, np.array([0.7]))
-        np.testing.assert_array_equal(y, [0.7])
-        assert ld == 0.0
-        x, ldi = fl.stack_inverse(f, np.array([-0.2]))
-        np.testing.assert_array_equal(x, [-0.2])
-        assert ldi == 0.0
+        y, ld = fl.stack_forward(f, np.array([[0.7]]))
+        np.testing.assert_array_equal(y, [[0.7]])
+        np.testing.assert_array_equal(ld, [0.0])
+        x, ldi = fl.stack_inverse(f, np.array([[-0.2]]))
+        np.testing.assert_array_equal(x, [[-0.2]])
+        np.testing.assert_array_equal(ldi, [0.0])
 
     def test_tail_identity(self):
         f = _spline_stack(0, bound=3.0)
-        y, ld = fl.stack_forward(f, np.array([5.0]))
-        np.testing.assert_array_equal(y, [5.0])
-        assert ld == 0.0
-        x, ldi = fl.stack_inverse(f, np.array([-4.2]))
-        np.testing.assert_array_equal(x, [-4.2])
-        assert ldi == 0.0
+        y, ld = fl.stack_forward(f, np.array([[5.0]]))
+        np.testing.assert_array_equal(y, [[5.0]])
+        np.testing.assert_array_equal(ld, [0.0])
+        x, ldi = fl.stack_inverse(f, np.array([[-4.2]]))
+        np.testing.assert_array_equal(x, [[-4.2]])
+        np.testing.assert_array_equal(ldi, [0.0])
 
     def test_round_trip_random_params(self):
         rng = np.random.default_rng(1)
@@ -71,10 +71,12 @@ class TestSpline:
 
 
 class TestCoupling:
+    """One conditioned coupling layer, as a one-layer stack."""
+
     def test_fresh_layer_is_identity(self):
         f = fl.make_flow(2, 1, np.random.default_rng(0))
         x = np.array([[0.4, -1.1]])
-        y, ld, _ = fl.coupling_forward_cached(f.layers[0], x)
+        y, ld = fl.stack_forward(f, x)
         np.testing.assert_array_equal(y, x)
         np.testing.assert_array_equal(ld, [0.0])
 
@@ -82,7 +84,7 @@ class TestCoupling:
         f = fl.make_flow(2, 1, np.random.default_rng(0))
         _perturbed(f, 0.3, 1)
         x = np.random.default_rng(2).normal(size=(40, 2))
-        y, _, _ = fl.coupling_forward_cached(f.layers[0], x)
+        y, _ = fl.stack_forward(f, x)
         np.testing.assert_array_equal(y[:, 0], x[:, 0])  # identity part copied
         assert np.abs(y[:, 1] - x[:, 1]).max() > 1e-6
 
@@ -90,14 +92,13 @@ class TestCoupling:
         for dim in (2, 3):
             f = fl.make_flow(dim, 1, np.random.default_rng(dim))
             _perturbed(f, 0.2, dim + 10)
-            layer = f.layers[0]
             rng = np.random.default_rng(5)
             for x in rng.normal(size=(5, dim)):
-                _, ld, _ = fl.coupling_forward_cached(layer, x[None, :])
+                _, ld = fl.stack_forward(f, x[None, :])
                 h = 1e-6
                 # row i of the batch is x shifted by h along axis i
-                yp, _, _ = fl.coupling_forward_cached(layer, x + h * np.eye(dim))
-                ym, _, _ = fl.coupling_forward_cached(layer, x - h * np.eye(dim))
+                yp, _ = fl.stack_forward(f, x + h * np.eye(dim))
+                ym, _ = fl.stack_forward(f, x - h * np.eye(dim))
                 jac = ((yp - ym) / (2 * h)).T
                 _, fd_ld = np.linalg.slogdet(jac)
                 assert abs(ld[0] - fd_ld) / max(abs(fd_ld), 1e-4) < 1e-4
@@ -105,10 +106,9 @@ class TestCoupling:
     def test_inverse_round_trip(self):
         f = fl.make_flow(3, 1, np.random.default_rng(9))
         _perturbed(f, 0.3, 3)
-        layer = f.layers[0]
         x = np.random.default_rng(4).normal(size=(200, 3)) * 2
-        y, ld, _ = fl.coupling_forward_cached(layer, x)
-        xb, ldi, _ = fl.coupling_inverse_cached(layer, y)
+        y, ld = fl.stack_forward(f, x)
+        xb, ldi = fl.stack_inverse(f, y)
         assert np.abs(xb - x).max() < 1e-9
         assert np.abs(ld + ldi).max() < 1e-9
 
@@ -135,7 +135,7 @@ class TestStack:
         h = x
         total = np.zeros(20)
         for layer in f.layers:
-            h, ld, _ = fl.coupling_forward_cached(layer, h)
+            h, ld = fl.stack_forward(fl.FlowStack(dim=2, layers=[layer]), h)
             total += ld
         z, ld_stack = fl.stack_forward(f, x)
         np.testing.assert_allclose(ld_stack, total, atol=1e-12)
@@ -144,15 +144,15 @@ class TestStack:
     def test_stack_logdet_vs_fd_jacobian_d3(self):
         f = _perturbed(fl.make_flow(3, 5, np.random.default_rng(6)), 0.15, 9)
         rng = np.random.default_rng(7)
-        for x in rng.normal(size=(4, 3)):
-            _, ld = fl.stack_forward(f, x)
+        for x in rng.normal(size=(4, 1, 3)):
+            _, (ld,) = fl.stack_forward(f, x)
             h = 1e-6
             jac = np.zeros((3, 3))
             for i in range(3):
                 e = np.zeros(3)
                 e[i] = h
-                zp, _ = fl.stack_forward(f, x + e)
-                zm, _ = fl.stack_forward(f, x - e)
+                (zp,), _ = fl.stack_forward(f, x + e)
+                (zm,), _ = fl.stack_forward(f, x - e)
                 jac[:, i] = (zp - zm) / (2 * h)
             _, fd_ld = np.linalg.slogdet(jac)
             assert abs(ld - fd_ld) < 1e-4 * max(1.0, abs(fd_ld))
@@ -267,9 +267,9 @@ class TestProjectReconstruct:
 
     def test_reconstruct_identity_stack(self):
         f = fl.make_flow(3, 2, np.random.default_rng(0))
-        x = np.array([1.0, 2.0, 3.0])
+        x = np.array([[1.0, 2.0, 3.0]])
         np.testing.assert_array_equal(fl.reconstruct(f, 3, x), x)
-        np.testing.assert_array_equal(fl.reconstruct(f, 2, x), [1.0, 2.0, 0.0])
+        np.testing.assert_array_equal(fl.reconstruct(f, 2, x), [[1.0, 2.0, 0.0]])
 
     def test_reconstruct_idempotent(self):
         f = _perturbed(fl.make_flow(3, 4, np.random.default_rng(3)), 0.15, 4)
@@ -312,7 +312,7 @@ class TestEmbeddingGram:
             raw=[np.zeros((2, 2)), np.zeros((2, 2)), np.array([[ud_param], [0.0]])],
         )
         f = fl.FlowStack(dim=2, layers=[layer])
-        got = fl.embedding_gram_logdet(f, 1, np.array([0.0]))
+        (got,) = fl.embedding_gram_logdet(f, 1, np.array([[0.0]]))
         assert abs(got - math.log(c)) < 1e-3
 
     def test_matches_brute_force_fd(self):
@@ -321,12 +321,13 @@ class TestEmbeddingGram:
         v = rng.normal(size=(4, 2))
         got = fl.embedding_gram_logdet(f, 2, v)
         h = 1e-6
-        for row, g in zip(v, got):
-            base = fl.embed_latent(f, row)
+        for row, g in zip(v[:, None, :], got):
+            (base,) = fl.embed_latent(f, row)
             jac = np.zeros((3, 2))
             for i in range(2):
                 e = np.zeros(2)
                 e[i] = h
-                jac[:, i] = (fl.embed_latent(f, row + e) - base) / h
+                (shifted,) = fl.embed_latent(f, row + e)
+                jac[:, i] = (shifted - base) / h
             expected = 0.5 * np.linalg.slogdet(jac.T @ jac)[1]
             assert abs(g - expected) < 1e-3

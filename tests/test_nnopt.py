@@ -65,10 +65,9 @@ def test_mlp_vjp_zero_cotangent():
     np.testing.assert_array_equal(gx, np.zeros((1, 3)))
 
 
-@pytest.mark.parametrize("activation", ["tanh", "relu"])
-def test_mlp_vjp_matches_finite_differences(activation):
+def test_mlp_vjp_matches_finite_differences():
     rng = np.random.default_rng(7)
-    params = nnopt.init_mlp([4, 8, 8, 3], rng, activation=activation)
+    params = nnopt.init_mlp([4, 8, 8, 3], rng)
     x = rng.normal(size=(5, 4)) * 0.7
     cot = rng.normal(size=(5, 3))
     grads, gx = _forward_then_vjp(params, x, cot)
