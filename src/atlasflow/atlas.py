@@ -103,10 +103,17 @@ class TrainConfig:
                 value = getattr(self, f.name)
                 if isinstance(value, bool) or not isinstance(value, kind):
                     raise ValueError(f"{f.name} must be {noun}, got {value!r}")
+        for name in ("epochs", "hidden"):
+            value = getattr(self, name)
+            if not isinstance(value, (list, tuple)) or not all(
+                isinstance(v, numbers.Integral) and not isinstance(v, bool) for v in value
+            ):
+                raise ValueError(f"{name} must be a list of integers, got {value!r}")
+            setattr(self, name, tuple(int(v) for v in value))
         if isinstance(self.mapper, dict):
             self.mapper = MapperConfig(**self.mapper)
-        self.epochs = tuple(int(e) for e in self.epochs)
-        self.hidden = tuple(int(h) for h in self.hidden)
+        elif not isinstance(self.mapper, MapperConfig):
+            raise ValueError(f"mapper must be an object of MapperConfig fields, got {self.mapper!r}")
         if self.latent_dim < 1:
             raise ValueError("latent_dim must be >= 1")
         if self.n_layers < 1:
@@ -381,8 +388,9 @@ def train(
 ) -> AtlasModel:
     """Run the five-phase schedule and return the trained atlas.
 
-    One loop runs over the phases, then their epochs, then the charts.
-    ``log_rows``, when given, receives one dict per (phase, epoch, chart)
+    Every chart's Isomap runs first, through :func:`geo.isomap_charts`,
+    which may use worker processes.  Then one loop runs over the phases,
+    then their epochs, then the charts.  ``log_rows``, when given, receives one dict per (phase, epoch, chart)
     with epoch-averaged loss components, appended as that step finishes, so
     rows arrive in (phase, epoch, chart) order.
     """
@@ -396,14 +404,14 @@ def train(
     c = disintegration_weights(cover)
 
     seeds = np.random.SeedSequence(cfg.seed).spawn(2 * cover.n_charts)
-    needs_isomap = e1 > 0 or (e2 + e3 + e4) > 0
+    chart_x = [x_all[members] for members in cover.charts]
+    if e1 > 0 or (e2 + e3 + e4) > 0:
+        isomaps = geo.isomap_charts(chart_x, cfg.isomap_k, n)
+    else:
+        isomaps = [(None, None)] * cover.n_charts
     states: list[_ChartState] = []
-    for k, members in enumerate(cover.charts):
+    for k, (members, xk, (embedding, geodesics)) in enumerate(zip(cover.charts, chart_x, isomaps)):
         init_rng = np.random.default_rng(seeds[2 * k])
-        xk = x_all[members]
-        embedding = geodesics = None
-        if needs_isomap:
-            embedding, geodesics = geo.isomap(xk, cfg.isomap_k, n)
         phi_bound = max(fl.DEFAULT_BOUND, 1.1 * float(np.abs(xk).max()))
         if embedding is not None:
             phi_bound = max(phi_bound, 1.2 * float(np.abs(embedding).max()))
@@ -461,14 +469,15 @@ def sample(model: AtlasModel, count: int, rng: np.random.Generator):
     return PointCloud(points=out), labels
 
 
-def chart_log_density(model: AtlasModel, v: np.ndarray, k: int) -> np.ndarray:
+def chart_log_density(model: AtlasModel, v: np.ndarray, k: int, xr: np.ndarray) -> np.ndarray:
     """log p of chart k at the points whose chart-k latent codes are ``v``,
-    including the embedding volume term."""
+    including the embedding volume term.  ``xr`` holds chart k's embedding
+    of ``v``, ``fl.embed_latent(phi_k, v)``."""
     chart = model.charts[k]
     n = model.latent_dim
     w, ld = fl.stack_forward(chart.gamma, v)
     log_normal = -0.5 * n * LOG_TWO_PI - 0.5 * (w * w).sum(axis=1)
-    gram = fl.embedding_gram_logdet(chart.phi, n, v)
+    gram = fl.embedding_gram_logdet(chart.phi, n, v, xr)
     return log_normal + ld - gram
 
 
@@ -482,13 +491,15 @@ def log_density(model: AtlasModel, x: np.ndarray) -> np.ndarray:
     n_charts = model.cover.n_charts
     n = model.latent_dim
     recon_err = np.empty((n_charts, x.shape[0]))
-    latents = []
+    latents, recons = [], []
     for k, cm in enumerate(model.charts):
-        # fl.reconstruct, keeping the latent codes for the density terms below
+        # fl.reconstruct, keeping the latent codes and reconstructions for
+        # the density terms below
         z, _ = fl.stack_forward(cm.phi, x)
         xr, _ = fl.stack_inverse(cm.phi, fl.project(z, n))
         recon_err[k] = np.linalg.norm(xr - x, axis=1)
         latents.append(z[:, :n])
+        recons.append(xr)
     include = recon_err <= model.config.membership_threshold
     include[recon_err.argmin(axis=0), np.arange(x.shape[0])] = True
     log_terms = np.full((n_charts, x.shape[0]), -np.inf)
@@ -496,7 +507,7 @@ def log_density(model: AtlasModel, x: np.ndarray) -> np.ndarray:
         rows = np.flatnonzero(include[k])
         if rows.size == 0:
             continue
-        log_terms[k, rows] = math.log(cm.c_k) + chart_log_density(model, latents[k][rows], k)
+        log_terms[k, rows] = math.log(cm.c_k) + chart_log_density(model, latents[k][rows], k, recons[k][rows])
     m = log_terms.max(axis=0)
     return m + np.log(np.exp(log_terms - m).sum(axis=0))
 

@@ -13,7 +13,12 @@ chart whose Isomap embedding has a non-positive top eigenvalue, a singular
 embedding Gram matrix in density evaluation), 10 disconnected neighbor graph.
 
 Config precedence: command-line flags override the --config JSON file, which
-overrides the preset defaults (torus values unless --preset trefoil).
+overrides $ATLASFLOW_SEED (for the seed), which overrides the preset defaults
+(torus values unless --preset trefoil).  synth and sample take their seed
+from --seed, else $ATLASFLOW_SEED, else 0.  $ATLASFLOW_THREADS (default: one
+per usable CPU) caps the threads of the neighbor search and the worker
+processes of the per-chart Isomap.  A malformed $ATLASFLOW_SEED or
+$ATLASFLOW_THREADS exits 2.
 """
 
 from __future__ import annotations
@@ -21,13 +26,12 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 from dataclasses import asdict, fields, replace
 
 import numpy as np
 
-from . import atlas, cover as cov, synth
+from . import atlas, cover as cov, env, synth
 from . import flow as fl
 from .errors import (
     CheckpointError,
@@ -57,11 +61,19 @@ _CONFIG_KEYS = {f.name for f in fields(atlas.TrainConfig)}
 _MAPPER_KEYS = {f.name for f in fields(cov.MapperConfig)}
 
 
-def _default_seed() -> int:
+def _seed(args) -> int:
+    """--seed, else $ATLASFLOW_SEED, else 0."""
+    if args.seed is not None:
+        return args.seed
+    value = env.seed()
+    return 0 if value is None else value
+
+
+def _int_list(text: str) -> tuple[int, ...]:
     try:
-        return int(os.environ.get("ATLASFLOW_SEED", "0"))
+        return tuple(int(v) for v in text.split(","))
     except ValueError:
-        return 0
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
 
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
@@ -73,7 +85,7 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
                    help="coupling layers per flow (torus 13, trefoil 11)")
     p.add_argument("--bins", type=int, dest="n_bins", metavar="BINS",
                    help="spline bins per coordinate (default 8)")
-    p.add_argument("--hidden", help="conditioner hidden sizes, comma separated (default 64,64)")
+    p.add_argument("--hidden", type=_int_list, help="conditioner hidden sizes, comma separated (default 64,64)")
     p.add_argument("--lr", type=float, dest="learning_rate", metavar="LR",
                    help="initial Adam rate (default 0.0015)")
     p.add_argument("--batch", type=int, dest="batch_size", metavar="BATCH",
@@ -129,25 +141,22 @@ def _mapper_config(args, base: cov.MapperConfig) -> cov.MapperConfig:
 
 
 def _build_config(args) -> atlas.TrainConfig:
+    """Preset, then $ATLASFLOW_SEED, then the --config file (checked on its
+    own), then the flags."""
     base = atlas.trefoil_defaults() if args.preset == "trefoil" else atlas.TrainConfig()
     values = asdict(base)
+    seed = env.seed()
+    if seed is not None:
+        values["seed"] = seed
     if getattr(args, "config", None):
         values.update(_load_config_file(args.config))
-    # each TrainConfig flag's dest is its field; --hidden is converted below
-    values.update({key: val for key, val in vars(args).items() if key in _CONFIG_KEYS and val is not None})
-    if values.get("seed") is None:
-        values["seed"] = _default_seed()
+    # each TrainConfig flag's dest is its field
+    flags = {key: val for key, val in vars(args).items() if key in _CONFIG_KEYS and val is not None}
     try:
-        if args.hidden is not None:
-            values["hidden"] = tuple(int(v) for v in args.hidden.split(","))
-        epochs = list(values["epochs"])
-        for i in range(5):
-            flag = getattr(args, f"epochs_e{i+1}")
-            if flag is not None:
-                epochs[i] = flag
-        values["epochs"] = tuple(epochs)
-        mapper = _mapper_config(args, cov.MapperConfig(**values.pop("mapper")))
-        return atlas.TrainConfig(mapper=mapper, **values)
+        cfg = atlas.TrainConfig(**values)
+        epoch_flags = [getattr(args, f"epochs_e{i}") for i in range(1, 6)]
+        flags["epochs"] = tuple(e if flag is None else flag for e, flag in zip(cfg.epochs, epoch_flags))
+        return replace(cfg, mapper=_mapper_config(args, cfg.mapper), **flags)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -161,7 +170,7 @@ def _write_log_csv(rows: list[dict], path) -> None:
 
 
 def cmd_synth(args) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
+    seed = _seed(args)
     spec = synth.ManifoldSpec(kind=args.manifold, n_points=args.n, noise_sigma=args.noise, seed=seed)
     cloud = synth.generate(spec)
     synth.save_csv(cloud, args.output)
@@ -202,7 +211,7 @@ def cmd_train(args) -> int:
 
 def cmd_sample(args) -> int:
     model = atlas.load(args.checkpoint)
-    seed = args.seed if args.seed is not None else _default_seed()
+    seed = _seed(args)
     cloud, labels = atlas.sample(model, args.count, np.random.default_rng(seed))
     data = np.column_stack([cloud.points, labels])
     with open(args.output, "w", newline="") as fh:

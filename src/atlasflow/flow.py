@@ -262,6 +262,9 @@ class CouplingLayer:
         self.tr_idx = np.asarray(self.tr_idx, dtype=int)
         if self.tr_idx.size == 0:
             raise ValueError("coupling layer must transform at least one coordinate")
+        if not np.array_equal(np.sort(np.concatenate([self.id_idx, self.tr_idx])), np.arange(self.dim)):
+            raise ValueError(f"id_idx {self.id_idx.tolist()} and tr_idx {self.tr_idx.tolist()} "
+                             f"must split the coordinates 0..{self.dim - 1} between them")
         m, k = self.tr_idx.size, self.n_bins
         if self.conditioner is None and self.raw is None:
             self.raw = [np.zeros((m, k)), np.zeros((m, k)), np.zeros((m, k - 1))]
@@ -532,21 +535,22 @@ def embed_latent(f: FlowStack, v: np.ndarray) -> np.ndarray:
     return stack_inverse(f, padded)[0]
 
 
-def embedding_gram_logdet(f: FlowStack, n: int, v: np.ndarray) -> np.ndarray:
+def embedding_gram_logdet(f: FlowStack, n: int, v: np.ndarray, base: np.ndarray) -> np.ndarray:
     """0.5 * log det(J^T J) for the embedding v -> f^{-1}((v, 0)).
 
-    The d x n Jacobian is taken by forward differences of step
+    ``base`` holds the embedded points ``embed_latent(f, v)``, which callers
+    already have.  The d x n Jacobian is taken by forward differences of step
     ``GRAM_FD_STEP``; this term only enters density evaluation, never
     training losses.
     """
     b, nv = v.shape
     if nv != n:
         raise ValueError(f"latent dim mismatch: {nv} != {n}")
-    queries = np.repeat(v, n + 1, axis=0)
+    queries = np.repeat(v, n, axis=0)
     for i in range(n):
-        queries[i + 1 :: n + 1, i] += GRAM_FD_STEP
-    emb = embed_latent(f, queries).reshape(b, n + 1, f.dim)
-    jac = (emb[:, 1:, :] - emb[:, :1, :]) / GRAM_FD_STEP  # (b, n, d)
+        queries[i::n, i] += GRAM_FD_STEP
+    emb = embed_latent(f, queries).reshape(b, n, f.dim)
+    jac = (emb - base[:, None, :]) / GRAM_FD_STEP  # (b, n, d)
     gram = jac @ jac.transpose(0, 2, 1)
     sign, logdet = np.linalg.slogdet(gram)
     if np.any(sign <= 0) or not np.all(np.isfinite(logdet)):

@@ -430,8 +430,9 @@ class TestInvariantSuite:
         )
         lim = 6.0
         v = rng.uniform(-lim, lim, size=(100_000, 1))
-        log_p = atlas.chart_log_density(model, v, 0)
-        gram = fl.embedding_gram_logdet(phi, 1, v)
+        xr = fl.embed_latent(phi, v)
+        log_p = atlas.chart_log_density(model, v, 0, xr)
+        gram = fl.embedding_gram_logdet(phi, 1, v, xr)
         integral = float(np.exp(log_p + gram).mean() * 2 * lim)
         _report(
             "A7 density normalization",

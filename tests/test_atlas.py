@@ -320,8 +320,9 @@ class TestLogDensity:
         n_mc = 100_000
         lim = 6.0
         v = rng.uniform(-lim, lim, size=(n_mc, 1))
-        log_p = atlas.chart_log_density(model, v, 0)
-        gram = fl.embedding_gram_logdet(phi, 1, v)
+        xr = fl.embed_latent(phi, v)
+        log_p = atlas.chart_log_density(model, v, 0, xr)
+        gram = fl.embedding_gram_logdet(phi, 1, v, xr)
         integral = float(np.exp(log_p + gram).mean() * (2 * lim))
         assert abs(integral - 1.0) < 0.05
 
@@ -341,7 +342,7 @@ class TestLogDensity:
             rows = np.flatnonzero(include[k])
             if rows.size:
                 v = fl.latent_codes(cm.phi, model.latent_dim, x[rows])
-                terms[k, rows] = math.log(cm.c_k) + atlas.chart_log_density(model, v, k)
+                terms[k, rows] = math.log(cm.c_k) + atlas.chart_log_density(model, v, k, fl.embed_latent(cm.phi, v))
         m = terms.max(axis=0)
         expected = m + np.log(np.exp(terms - m).sum(axis=0))
         assert include.sum() > len(x)  # some points are scored by two charts

@@ -2,6 +2,7 @@ import base64
 import csv
 import hashlib
 import json
+import os
 import subprocess
 import sys
 
@@ -11,7 +12,7 @@ import pytest
 from atlasflow import atlas, cli
 from atlasflow import cover as cov
 from atlasflow import flow as fl
-from atlasflow import synth
+from atlasflow import geo, synth
 
 
 def _run(argv):
@@ -208,11 +209,14 @@ class TestTrainCommand:
     @pytest.mark.parametrize("config, detail", [
         ({"mapper": {"n_cubes": 0}}, "n_cubes"),
         ({"mapper": 5}, "MapperConfig"),
-        ({"epochs": 5}, ""),
+        ({"epochs": 5}, "epochs must be a list of integers, got 5"),
         ({"learning_rate": "x"}, "learning_rate must be a number, got 'x'"),
         ({"seed": "x"}, "seed must be an integer, got 'x'"),
+        ({"hidden": 64}, "hidden must be a list of integers, got 64"),
+        ({"hidden": [64, "x"]}, "hidden must be a list of integers, got [64, 'x']"),
+        ({"mapper": [2, 0.2]}, "mapper must be an object of MapperConfig fields, got [2, 0.2]"),
     ], ids=["mapper-n-cubes-0", "mapper-not-object", "epochs-not-list", "learning-rate-not-number",
-            "seed-not-integer"])
+            "seed-not-integer", "hidden-not-list", "hidden-not-integers", "mapper-list"])
     def test_malformed_config_value_exit_2(self, torus_csv, cover_json, tmp_path, capsys, config, detail):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
@@ -221,6 +225,13 @@ class TestTrainCommand:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and detail in err
+
+    def test_malformed_hidden_flag_exit_2(self, torus_csv, cover_json, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            _run(["train", "--data", str(torus_csv), "--cover", str(cover_json), "--hidden", "8,x",
+                  "-o", str(tmp_path / "m.json")])
+        assert exc.value.code == 2
+        assert "argument --hidden: expected comma-separated integers, got '8,x'" in capsys.readouterr().err
 
     def test_config_file_and_flag_precedence(self, torus_csv, cover_json, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -234,6 +245,71 @@ class TestTrainCommand:
         model = atlas.load(out)
         assert model.config.n_layers == 2
         assert model.config.epochs == (1, 1, 1, 1, 0)
+
+
+    @pytest.mark.parametrize("env_seed, config_seed, flag_seed, expected", [
+        ("0", None, None, 0),
+        ("5", None, None, 5),
+        ("5", 3, None, 3),
+        ("5", 3, 7, 7),
+    ], ids=["env-0", "env-5", "config-over-env", "flag-over-config"])
+    def test_seed_precedence(self, torus_csv, cover_json, tmp_path, monkeypatch,
+                             env_seed, config_seed, flag_seed, expected):
+        monkeypatch.setenv("ATLASFLOW_SEED", env_seed)
+        argv = ["train", "--data", str(torus_csv), "--cover", str(cover_json), "--layers", "2",
+                "--hidden", "8,8", "--epochs-e1", "0", "--epochs-e2", "0", "--epochs-e3", "0",
+                "--epochs-e4", "0", "--epochs-e5", "0", "-o", str(tmp_path / "m.json")]
+        if config_seed is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"seed": config_seed}))
+            argv += ["--config", str(cfg)]
+        if flag_seed is not None:
+            argv += ["--seed", str(flag_seed)]
+        assert _run(argv) == 0
+        assert atlas.load(tmp_path / "m.json").config.seed == expected
+
+    def test_env_seeds_write_different_checkpoints(self, torus_csv, cover_json, tmp_path, monkeypatch):
+        models = {}
+        for seed in ("0", "5"):
+            monkeypatch.setenv("ATLASFLOW_SEED", seed)
+            out = tmp_path / f"m{seed}.json"
+            assert _run(["train", "--data", str(torus_csv), "--cover", str(cover_json), "--layers", "2",
+                         "--hidden", "8,8", "--epochs-e1", "1", "--epochs-e2", "0", "--epochs-e3", "0",
+                         "--epochs-e4", "0", "--epochs-e5", "0", "-o", str(out)]) == 0
+            models[seed] = out.read_bytes()
+        assert models["0"] != models["5"]
+
+    @pytest.mark.parametrize("var, value, argv", [
+        ("ATLASFLOW_THREADS", "abc", "train"),
+        ("ATLASFLOW_THREADS", "0", "train"),
+        ("ATLASFLOW_SEED", "abc", "train"),
+        ("ATLASFLOW_SEED", "-1", "synth"),
+    ], ids=["threads-not-integer", "threads-zero", "seed-not-integer", "seed-negative"])
+    def test_malformed_environment_exit_2(self, torus_csv, cover_json, tmp_path, capsys, monkeypatch,
+                                          var, value, argv):
+        monkeypatch.setenv(var, value)
+        if argv == "train":
+            argv = ["train", "--data", str(torus_csv), "--cover", str(cover_json), "--layers", "2",
+                    "--hidden", "8,8", "--epochs-e1", "1", "-o", str(tmp_path / "m.json")]
+        else:
+            argv = ["synth", "--manifold", "torus", "--n", "10", "-o", str(tmp_path / "x.csv")]
+        assert _run(argv) == 2
+        assert f"${var}={value!r}" in capsys.readouterr().err
+
+    def test_isomap_pool_writes_serial_bytes(self, torus_csv, cover_json, tmp_path, monkeypatch, isomap_pids):
+        monkeypatch.setattr(geo, "POOL_MIN_PAIRS", 0)
+        outputs = {}
+        for threads in ("1", "2"):
+            monkeypatch.setenv("ATLASFLOW_THREADS", threads)
+            ckpt, log = tmp_path / f"m{threads}.json", tmp_path / f"log{threads}.csv"
+            assert _run(["train", "--data", str(torus_csv), "--cover", str(cover_json), "--layers", "2",
+                         "--hidden", "8,8", "--epochs-e1", "1", "--epochs-e2", "1", "--epochs-e3", "1",
+                         "--epochs-e4", "1", "--epochs-e5", "1", "--seed", "2", "--log", str(log),
+                         "-o", str(ckpt)]) == 0
+            outputs[threads] = (ckpt.read_bytes(), log.read_bytes(), isomap_pids())
+        assert outputs["1"][2] == {os.getpid()}
+        assert outputs["2"][2] and os.getpid() not in outputs["2"][2]
+        assert outputs["1"][:2] == outputs["2"][:2]
 
 
 class TestSampleCommand:
@@ -323,6 +399,12 @@ class TestMalformedCheckpoint:
         pytest.param(_json_edited(lambda p: _layer(p).update(tr_idx=[_layer(p)["tr_idx"]])),
                      "charts[0].phi.layers[0].tr_idx: expected a flat list of indices, got 2-D",
                      id="nested-tr-idx"),
+        pytest.param(_json_edited(lambda p: _layer(p).update(tr_idx=[7])),
+                     "charts[0].phi.layers[0]: id_idx [0, 1] and tr_idx [7] must split the coordinates 0..2",
+                     id="tr-idx-out-of-range"),
+        pytest.param(_json_edited(lambda p: _layer(p).update(id_idx=[0, 0])),
+                     "charts[0].phi.layers[0]: id_idx [0, 0] and tr_idx [2] must split the coordinates 0..2",
+                     id="id-idx-repeated"),
         pytest.param(_json_edited(lambda p: _layer(p)["conditioner"].update(activation="relu")),
                      "charts[0].phi.layers[0].conditioner.activation: 'relu' unsupported", id="activation-relu"),
         pytest.param(_json_edited(lambda p: p["cover"]["nerve_edges"].pop()),
@@ -400,6 +482,20 @@ class TestNumericExits:
         capsys.readouterr()
         assert _run(argv) == code
         assert detail in capsys.readouterr().err
+
+    @pytest.mark.parametrize("points, code, detail", [
+        pytest.param(_LINE, 9, "top-2 eigenvalue not positive", id="collinear-line"),
+        pytest.param(_DUPLICATES, 10, "graph disconnected", id="duplicate-chart"),
+    ])
+    def test_typed_exit_from_isomap_pool(self, tmp_path, monkeypatch, capsys, isomap_pids, points, code, detail):
+        argv = _train_on(points)(tmp_path, monkeypatch, None, None)
+        monkeypatch.setattr(geo, "POOL_MIN_PAIRS", 0)
+        monkeypatch.setenv("ATLASFLOW_THREADS", "2")
+        capsys.readouterr()
+        assert _run(argv) == code
+        assert detail in capsys.readouterr().err
+        pids = isomap_pids()
+        assert pids and os.getpid() not in pids
 
 
 class TestDensityCommand:

@@ -292,7 +292,7 @@ class TestEmbeddingGram:
     def test_identity_stack_zero(self):
         f = fl.make_flow(3, 2, np.random.default_rng(0))
         v = np.random.default_rng(1).normal(size=(5, 2))
-        np.testing.assert_allclose(fl.embedding_gram_logdet(f, 2, v), np.zeros(5), atol=1e-9)
+        np.testing.assert_allclose(fl.embedding_gram_logdet(f, 2, v, fl.embed_latent(f, v)), np.zeros(5), atol=1e-9)
 
     def test_scaling_embedding(self):
         # two-bin spline with interior derivative 1/c at the middle knot:
@@ -312,14 +312,15 @@ class TestEmbeddingGram:
             raw=[np.zeros((2, 2)), np.zeros((2, 2)), np.array([[ud_param], [0.0]])],
         )
         f = fl.FlowStack(dim=2, layers=[layer])
-        (got,) = fl.embedding_gram_logdet(f, 1, np.array([[0.0]]))
+        v = np.array([[0.0]])
+        (got,) = fl.embedding_gram_logdet(f, 1, v, fl.embed_latent(f, v))
         assert abs(got - math.log(c)) < 1e-3
 
     def test_matches_brute_force_fd(self):
         f = _perturbed(fl.make_flow(3, 4, np.random.default_rng(7)), 0.15, 2)
         rng = np.random.default_rng(8)
         v = rng.normal(size=(4, 2))
-        got = fl.embedding_gram_logdet(f, 2, v)
+        got = fl.embedding_gram_logdet(f, 2, v, fl.embed_latent(f, v))
         h = 1e-6
         for row, g in zip(v[:, None, :], got):
             (base,) = fl.embed_latent(f, row)

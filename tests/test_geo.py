@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from scipy.sparse.csgraph import shortest_path
@@ -154,3 +156,53 @@ class TestIsomap:
         emb, d = geo.isomap(pts, 1, 1)
         assert np.all(np.isfinite(d))
         assert emb.shape == (10, 1)
+
+
+def _circle_charts(sizes, seed=0):
+    rng = np.random.default_rng(seed)
+    charts = []
+    for m in sizes:
+        t = rng.uniform(0.0, 2.0 * np.pi, m)
+        charts.append(np.column_stack([np.cos(t), np.sin(t), 0.05 * rng.normal(size=m)]))
+    return charts
+
+
+class TestIsomapCharts:
+    def test_pool_matches_serial_bit_for_bit(self, monkeypatch, isomap_pids):
+        charts = _circle_charts([520, 700, 610])
+        assert sum(len(c) ** 2 for c in charts) >= geo.POOL_MIN_PAIRS
+        runs = {}
+        for threads in ("1", "2"):
+            monkeypatch.setenv("ATLASFLOW_THREADS", threads)
+            runs[threads] = (geo.isomap_charts(charts, 10, 1), isomap_pids())
+        (serial, serial_pids), (pooled, pooled_pids) = runs["1"], runs["2"]
+        assert serial_pids == {os.getpid()}
+        assert pooled_pids and os.getpid() not in pooled_pids
+        for (emb_s, d_s), (emb_p, d_p) in zip(serial, pooled, strict=True):
+            assert emb_s.tobytes() == emb_p.tobytes()
+            assert d_s.tobytes() == d_p.tobytes()
+
+    def test_small_charts_stay_in_process(self, monkeypatch, isomap_pids):
+        monkeypatch.setenv("ATLASFLOW_THREADS", "2")
+        geo.isomap_charts(_circle_charts([50, 60]), 10, 1)
+        assert isomap_pids() == {os.getpid()}
+
+    @pytest.mark.parametrize("cpus, env, n_charts, workers", [
+        (2, {}, 4, 1),
+        (2, {"OPENBLAS_NUM_THREADS": "1"}, 4, 2),
+        (2, {"OMP_NUM_THREADS": "1"}, 4, 2),
+        (4, {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 4, 2),
+        (4, {"OPENBLAS_NUM_THREADS": "x", "OMP_NUM_THREADS": "2"}, 4, 2),
+        (2, {"OPENBLAS_NUM_THREADS": "8"}, 4, 1),
+        (2, {"OPENBLAS_NUM_THREADS": "1", "ATLASFLOW_THREADS": "1"}, 4, 1),
+        (8, {"OPENBLAS_NUM_THREADS": "1", "ATLASFLOW_THREADS": "3"}, 4, 3),
+        (8, {"OPENBLAS_NUM_THREADS": "1"}, 3, 3),
+    ], ids=["blas-unset", "openblas-1", "omp-1", "openblas-before-omp", "malformed-openblas-ignored",
+            "blas-capped-at-cpus", "threads-1", "threads-cap", "chart-cap"])
+    def test_worker_count_rule(self, monkeypatch, cpus, env, n_charts, workers):
+        monkeypatch.setattr(geo.env, "usable_cpus", lambda: cpus)
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "ATLASFLOW_THREADS"):
+            monkeypatch.delenv(var, raising=False)
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
+        assert geo.pool_workers(n_charts) == workers
