@@ -31,11 +31,12 @@ import json
 import math
 import numbers
 from dataclasses import asdict, dataclass, field, fields
+from functools import partial
 
 import numpy as np
 
 from . import flow as fl
-from . import geo
+from . import geo, pool
 from .cover import (
     ChartCover,
     MapperConfig,
@@ -62,6 +63,13 @@ from .nnopt import AdamState, LrSchedule, adam_step, clip_global_norm, init_adam
 from .synth import PointCloud
 
 CHECKPOINT_FORMAT_VERSION = 2
+# Summed rows x flow layers of one round of per-chart inference jobs below
+# which sample and log_density run in-process.  On a 2-vCPU x86-64 VM at one
+# BLAS thread, a fork-pool round trip costs ~15 ms and a row through one
+# 13-layer torus-preset flow layer ~2.7 us after a ~26 ms per-call floor, so
+# two workers break even near 3,000 row-layers (600 samples: 82 ms serial,
+# 75 ms pooled); the margin covers uneven charts and smaller conditioners.
+POOL_MIN_ROW_LAYERS = 20_000
 # annotation of a scalar TrainConfig field -> (accepted type, what to call it)
 _NUMERIC_TYPES = {"int": (numbers.Integral, "an integer"), "float": (numbers.Real, "a number")}
 
@@ -169,8 +177,22 @@ class AtlasModel:
     config: TrainConfig
 
     def __post_init__(self):
+        """Check that the parts agree; a failure names the checkpoint key."""
         if len(self.charts) != self.cover.n_charts:
-            raise ValueError("chart model count != cover chart count")
+            raise _Malformed(["charts"], f"{len(self.charts)} chart models for the cover's {self.cover.n_charts} charts")
+        if self.latent_dim != self.config.latent_dim:
+            raise _Malformed(["latent_dim"], f"{self.latent_dim} != config.latent_dim {self.config.latent_dim}")
+        for i, cm in enumerate(self.charts):
+            if cm.chart_id != i:
+                raise _Malformed(["charts", i, "chart_id"], f"{cm.chart_id} is not the chart's position {i}")
+            if cm.phi.dim != self.dim:
+                raise _Malformed(["dim"], f"{self.dim} != charts[{i}].phi.dim {cm.phi.dim}")
+            if cm.gamma.dim != self.latent_dim:
+                raise _Malformed(["charts", i, "gamma", "dim"], f"{cm.gamma.dim} != latent_dim {self.latent_dim}")
+            for name, f in (("phi", cm.phi), ("gamma", cm.gamma)):
+                if len(f.layers) != self.config.n_layers:
+                    raise _Malformed(["config", "n_layers"],
+                                     f"{self.config.n_layers} != the {len(f.layers)} layers of charts[{i}].{name}")
         total = sum(c.c_k for c in self.charts)
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"chart weights c_k sum to {total!r}, expected 1")
@@ -450,22 +472,33 @@ def train(
     return AtlasModel(dim=dim, latent_dim=n, charts=charts, cover=cover, config=cfg)
 
 
+def _sample_chart(chart: ChartModel, w: np.ndarray) -> np.ndarray:
+    v, _ = fl.stack_inverse(chart.gamma, w)
+    return fl.embed_latent(chart.phi, v)
+
+
 def sample(model: AtlasModel, count: int, rng: np.random.Generator):
     """Draw points from the atlas: chart ~ c_k, w ~ N(0, I), then map back.
+
+    All labels, then every chart's ``w`` in chart order, are drawn here; the
+    charts' flow passes then run through :func:`pool.run_jobs`.
 
     Returns (PointCloud, chart labels).
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
     labels = rng.choice(model.cover.n_charts, size=count, p=model.c)
-    out = np.zeros((count, model.dim))
+    jobs, costs, chart_rows = [], [], []
     for k, chart in enumerate(model.charts):
         rows = np.flatnonzero(labels == k)
-        if rows.size == 0:
-            continue
-        w = rng.normal(size=(rows.size, model.latent_dim))
-        v, _ = fl.stack_inverse(chart.gamma, w)
-        out[rows] = fl.embed_latent(chart.phi, v)
+        if rows.size:
+            w = rng.normal(size=(rows.size, model.latent_dim))
+            jobs.append(partial(_sample_chart, chart, w))
+            costs.append(rows.size * (len(chart.gamma.layers) + len(chart.phi.layers)))
+            chart_rows.append(rows)
+    out = np.zeros((count, model.dim))
+    for rows, points in zip(chart_rows, pool.run_jobs(jobs, costs, POOL_MIN_ROW_LAYERS)):
+        out[rows] = points
     return PointCloud(points=out), labels
 
 
@@ -481,33 +514,41 @@ def chart_log_density(model: AtlasModel, v: np.ndarray, k: int, xr: np.ndarray) 
     return log_normal + ld - gram
 
 
+def _chart_reconstruction(phi: fl.FlowStack, n: int, x: np.ndarray):
+    """fl.reconstruct, keeping the latent codes: (z[:, :n], xr, |xr - x|)."""
+    z, _ = fl.stack_forward(phi, x)
+    xr, _ = fl.stack_inverse(phi, fl.project(z, n))
+    return z[:, :n], xr, np.linalg.norm(xr - x, axis=1)
+
+
 def log_density(model: AtlasModel, x: np.ndarray) -> np.ndarray:
     """Manifold log-density log sum_k c_k p_k(x) of a (rows, dim) batch.
 
     A chart participates when its reconstruction of x lands within
     ``model.config.membership_threshold``; the nearest chart always
-    participates so the result stays finite.
+    participates so the result stays finite.  Two rounds of per-chart jobs
+    run through :func:`pool.run_jobs`: every chart's reconstruction of every
+    row, then each chart's density on the rows it includes.
     """
-    n_charts = model.cover.n_charts
     n = model.latent_dim
-    recon_err = np.empty((n_charts, x.shape[0]))
-    latents, recons = [], []
-    for k, cm in enumerate(model.charts):
-        # fl.reconstruct, keeping the latent codes and reconstructions for
-        # the density terms below
-        z, _ = fl.stack_forward(cm.phi, x)
-        xr, _ = fl.stack_inverse(cm.phi, fl.project(z, n))
-        recon_err[k] = np.linalg.norm(xr - x, axis=1)
-        latents.append(z[:, :n])
-        recons.append(xr)
+    recon = pool.run_jobs(
+        [partial(_chart_reconstruction, cm.phi, n, x) for cm in model.charts],
+        [x.shape[0] * 2 * len(cm.phi.layers) for cm in model.charts],
+        POOL_MIN_ROW_LAYERS,
+    )
+    recon_err = np.stack([err for _, _, err in recon])
     include = recon_err <= model.config.membership_threshold
     include[recon_err.argmin(axis=0), np.arange(x.shape[0])] = True
-    log_terms = np.full((n_charts, x.shape[0]), -np.inf)
-    for k, cm in enumerate(model.charts):
+    jobs, costs, included = [], [], []
+    for k, (cm, (v, xr, _)) in enumerate(zip(model.charts, recon)):
         rows = np.flatnonzero(include[k])
-        if rows.size == 0:
-            continue
-        log_terms[k, rows] = math.log(cm.c_k) + chart_log_density(model, latents[k][rows], k, recons[k][rows])
+        if rows.size:
+            jobs.append(partial(chart_log_density, model, v[rows], k, xr[rows]))
+            costs.append(rows.size * (len(cm.gamma.layers) + n * len(cm.phi.layers)))
+            included.append((k, rows))
+    log_terms = np.full((model.cover.n_charts, x.shape[0]), -np.inf)
+    for (k, rows), terms in zip(included, pool.run_jobs(jobs, costs, POOL_MIN_ROW_LAYERS)):
+        log_terms[k, rows] = math.log(model.charts[k].c_k) + terms
     m = log_terms.max(axis=0)
     return m + np.log(np.exp(log_terms - m).sum(axis=0))
 

@@ -17,8 +17,9 @@ overrides $ATLASFLOW_SEED (for the seed), which overrides the preset defaults
 (torus values unless --preset trefoil).  synth and sample take their seed
 from --seed, else $ATLASFLOW_SEED, else 0.  $ATLASFLOW_THREADS (default: one
 per usable CPU) caps the threads of the neighbor search and the worker
-processes of the per-chart Isomap.  A malformed $ATLASFLOW_SEED or
-$ATLASFLOW_THREADS exits 2.
+processes of the one fork pool that runs the per-chart Isomaps of train and
+the per-chart flow passes of sample and density.  A malformed $ATLASFLOW_SEED
+or $ATLASFLOW_THREADS exits 2.
 """
 
 from __future__ import annotations
@@ -213,12 +214,7 @@ def cmd_sample(args) -> int:
     model = atlas.load(args.checkpoint)
     seed = _seed(args)
     cloud, labels = atlas.sample(model, args.count, np.random.default_rng(seed))
-    data = np.column_stack([cloud.points, labels])
-    with open(args.output, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([f"x{i}" for i in range(model.dim)] + ["chart"])
-        for row in data:
-            writer.writerow([repr(float(v)) for v in row[:-1]] + [int(row[-1])])
+    synth.write_table(args.output, [f"x{i}" for i in range(model.dim)] + ["chart"], cloud.points, labels)
     print(f"wrote {args.count} samples to {args.output}")
     return 0
 
@@ -231,13 +227,8 @@ def cmd_density(args) -> int:
     if args.checkpoint:
         model = atlas.load(args.checkpoint)
         cols["log_density"] = atlas.log_density(model, cloud.points)
-    with open(args.output, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        header = [f"x{i}" for i in range(cloud.dim)] + list(cols)
-        writer.writerow(header)
-        stacked = np.column_stack([cloud.points] + [cols[c] for c in cols])
-        for row in stacked:
-            writer.writerow([repr(float(v)) for v in row])
+    header = [f"x{i}" for i in range(cloud.dim)] + list(cols)
+    synth.write_table(args.output, header, np.column_stack([cloud.points, *cols.values()]))
     print(f"wrote {cloud.n} density rows to {args.output}")
     return 0
 

@@ -260,6 +260,8 @@ class CouplingLayer:
     def __post_init__(self):
         self.id_idx = np.asarray(self.id_idx, dtype=int)
         self.tr_idx = np.asarray(self.tr_idx, dtype=int)
+        if not (math.isfinite(self.bound) and self.bound > 0):
+            raise ValueError(f"bound must be finite and positive, got {self.bound!r}")
         if self.tr_idx.size == 0:
             raise ValueError("coupling layer must transform at least one coordinate")
         if not np.array_equal(np.sort(np.concatenate([self.id_idx, self.tr_idx])), np.arange(self.dim)):

@@ -5,23 +5,16 @@ and the reference geodesic matrix for the pairwise-distance loss.  Shortest
 paths run through scipy's compiled Dijkstra; the test suite checks them
 against a Floyd-Warshall oracle.
 
-:func:`isomap_charts` runs one Isomap per chart.  Neither Dijkstra nor the
-eigen solve releases the GIL, so when the charts hold at least
-``POOL_MIN_PAIRS`` point pairs it runs them in forked worker processes,
-largest chart first.  The pool has ``min($ATLASFLOW_THREADS, usable CPUs //
-BLAS threads, charts)`` workers and is used only when that is at least 2.
-BLAS threads are counted as OpenBLAS counts them: ``$OPENBLAS_NUM_THREADS``,
-else ``$OMP_NUM_THREADS``, else one per usable CPU.  Forked workers keep the
-parent's BLAS thread count, so ``eigh`` returns the bytes a serial run
-returns.
+:func:`isomap_charts` runs one Isomap per chart.  When the charts hold at
+least ``POOL_MIN_PAIRS`` point pairs it hands them to :func:`pool.run_jobs`,
+the fork pool that also serves sampling and log-density, which may run them
+in worker processes, largest chart first.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import scipy.linalg
@@ -29,7 +22,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import shortest_path
 from scipy.spatial import cKDTree
 
-from . import env
+from . import env, pool
 from .errors import ConnectivityError, NumericError
 
 DEFAULT_K = 10
@@ -133,37 +126,8 @@ def isomap(points: np.ndarray, k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     return classical_mds(d, n), d
 
 
-def _blas_threads(cpus: int) -> int:
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
-        try:
-            value = int(os.environ.get(var, ""))
-        except ValueError:
-            continue
-        if value > 0:
-            return min(value, cpus)
-    return cpus
-
-
-def pool_workers(n_charts: int) -> int:
-    """Worker processes for ``n_charts`` Isomaps; see the module docstring."""
-    cpus = env.usable_cpus()
-    return min(env.threads(), cpus // _blas_threads(cpus), n_charts)
-
-
 def isomap_charts(charts: list[np.ndarray], k: int, n: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """:func:`isomap` of every chart's points, in chart order.
-
-    A chart's failure raises the same error a serial loop would: results are
-    read in chart order.
-    """
-    workers = pool_workers(len(charts))
-    if workers < 2 or sum(len(c) ** 2 for c in charts) < POOL_MIN_PAIRS:
-        return [isomap(points, k, n) for points in charts]
-    # fork, not spawn: a 2-worker spawn pool takes ~0.9 s to start (each
-    # worker re-imports NumPy and SciPy), a fork pool ~35 ms.  The parent
-    # runs no threads of its own here; OpenBLAS quiesces its pool at fork.
-    context = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(workers, mp_context=context) as pool:
-        largest_first = sorted(range(len(charts)), key=lambda i: -len(charts[i]))
-        futures = {i: pool.submit(isomap, charts[i], k, n) for i in largest_first}
-        return [futures[i].result() for i in range(len(charts))]
+    """:func:`isomap` of every chart's points, in chart order; a chart's
+    failure raises the same error a serial loop would."""
+    jobs = [partial(isomap, points, k, n) for points in charts]
+    return pool.run_jobs(jobs, [len(points) ** 2 for points in charts], POOL_MIN_PAIRS)

@@ -239,6 +239,21 @@ def kde_density(
     return out
 
 
+def write_table(path, header: list[str], values: np.ndarray, labels: np.ndarray | None = None) -> None:
+    """Write ``header`` and one row per row of the float array ``values``,
+    then its integer ``labels`` entry when given, with \\n endings.  Floats
+    are written as the ``repr`` of their float64 value, so they read back
+    bit for bit."""
+    rows = np.asarray(values, dtype=float).tolist()
+    if labels is not None:
+        for row, label in zip(rows, np.asarray(labels).tolist()):
+            row.append(label)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def save_csv(cloud: PointCloud, path) -> None:
     """Write ``x0,...,x{d-1}[,t0,t1]`` rows with '.' decimals and \\n endings."""
     header = [f"x{i}" for i in range(cloud.dim)]
@@ -246,12 +261,7 @@ def save_csv(cloud: PointCloud, path) -> None:
     if cloud.params is not None:
         header += [f"t{i}" for i in range(cloud.params.shape[1])]
         cols.append(cloud.params)
-    data = np.hstack(cols)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in data:
-            writer.writerow([repr(float(v)) for v in row])
+    write_table(path, header, np.hstack(cols))
 
 
 def load_csv(path) -> PointCloud:

@@ -1,33 +1,43 @@
 import os
+from collections import defaultdict
 
 import pytest
 
+from atlasflow import flow as fl
 from atlasflow import geo
 
 
 @pytest.fixture
-def isomap_pids(monkeypatch, tmp_path):
-    """Reader of the set of PIDs that built a kNN graph since the last read.
+def pool_pids(monkeypatch, tmp_path):
+    """Reader of the PIDs that did pool-able work since the last read: a dict
+    from ``"isomap"`` (built a kNN graph) and ``"flow"`` (ran a flow pass
+    through ``fl.stack_forward``/``fl.stack_inverse``) to sets of PIDs.
 
-    The environment allows the Isomap pool (one BLAS thread); a test sets
+    The environment allows the fork pool (one BLAS thread); a test sets
     ``ATLASFLOW_THREADS`` and compares the PIDs against its own, so a pool
     that silently ran in-process fails it.
     """
     if len(os.sched_getaffinity(0)) < 2:
-        pytest.skip("the Isomap pool needs 2 usable CPUs")
+        pytest.skip("the fork pool needs 2 usable CPUs")
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-    log = tmp_path / "isomap_pids.txt"
-    knn_graph = geo.knn_graph
+    log = tmp_path / "pool_pids.txt"
 
-    def recording(points, k):
-        with open(log, "a") as fh:
-            fh.write(f"{os.getpid()}\n")
-        return knn_graph(points, k)
+    def recording(kind, fn):
+        def record(*args, **kwargs):
+            with open(log, "a") as fh:
+                fh.write(f"{kind} {os.getpid()}\n")
+            return fn(*args, **kwargs)
+        return record
 
-    monkeypatch.setattr(geo, "knn_graph", recording)
+    monkeypatch.setattr(geo, "knn_graph", recording("isomap", geo.knn_graph))
+    for name in ("stack_forward_cached", "stack_inverse_cached"):
+        monkeypatch.setattr(fl, name, recording("flow", getattr(fl, name)))
 
-    def read() -> set[int]:
-        pids = {int(line) for line in log.read_text().split()} if log.exists() else set()
+    def read() -> dict[str, set[int]]:
+        pids = defaultdict(set)
+        for line in log.read_text().splitlines() if log.exists() else []:
+            kind, pid = line.split()
+            pids[kind].add(int(pid))
         log.unlink(missing_ok=True)
         return pids
 

@@ -426,7 +426,7 @@ class TestInvariantSuite:
             dim=2, latent_dim=1,
             charts=[atlas.ChartModel(0, np.array([0]), phi, gamma, 1.0)],
             cover=ChartCover(n_points=1, charts=[np.array([0])]),
-            config=atlas.TrainConfig(latent_dim=1),
+            config=atlas.TrainConfig(latent_dim=1, n_layers=3),
         )
         lim = 6.0
         v = rng.uniform(-lim, lim, size=(100_000, 1))

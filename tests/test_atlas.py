@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -276,7 +277,7 @@ class TestLogDensity:
         model = atlas.AtlasModel(
             dim=2, latent_dim=1,
             charts=[atlas.ChartModel(0, np.array([0]), phi, gamma, 1.0)],
-            cover=cover, config=atlas.TrainConfig(latent_dim=1),
+            cover=cover, config=atlas.TrainConfig(latent_dim=1, n_layers=2),
         )
         (got,) = atlas.log_density(model, np.array([[0.0, 0.0]]))
         assert got == pytest.approx(-0.5 * math.log(2 * math.pi), abs=1e-9)
@@ -298,7 +299,7 @@ class TestLogDensity:
         model = atlas.AtlasModel(
             dim=2, latent_dim=1,
             charts=[atlas.ChartModel(0, np.array([0]), phi, gamma, 1.0)],
-            cover=cover, config=atlas.TrainConfig(latent_dim=1),
+            cover=cover, config=atlas.TrainConfig(latent_dim=1, n_layers=1),
         )
         (got,) = atlas.log_density(model, np.array([[0.0, 0.0]]))
         assert got == pytest.approx(-0.5 * math.log(2 * math.pi) - math.log(c), abs=1e-3)
@@ -315,7 +316,7 @@ class TestLogDensity:
         model = atlas.AtlasModel(
             dim=2, latent_dim=1,
             charts=[atlas.ChartModel(0, np.array([0]), phi, gamma, 1.0)],
-            cover=cover, config=atlas.TrainConfig(latent_dim=1),
+            cover=cover, config=atlas.TrainConfig(latent_dim=1, n_layers=3),
         )
         n_mc = 100_000
         lim = 6.0
@@ -361,6 +362,38 @@ class TestLogDensity:
             "8841b2ab96b946a86e91674b1aa2f892447f4d19198a97a9a4c2523f229fe9b8")
 
 
+_TORUS_MODELS = [p for p in _V1_MODELS if "torus_cover" in p.name]
+
+
+class TestInferencePool:
+    @pytest.mark.parametrize("cached", _TORUS_MODELS, ids=lambda p: p.name)
+    def test_pool_matches_serial_bit_for_bit(self, monkeypatch, pool_pids, cached):
+        model = atlas.load(cached)
+        assert model.cover.n_charts >= 3
+        monkeypatch.setattr(atlas, "POOL_MIN_ROW_LAYERS", 0)
+        runs = {}
+        for threads in ("1", "2"):
+            monkeypatch.setenv("ATLASFLOW_THREADS", threads)
+            cloud, labels = atlas.sample(model, 600, np.random.default_rng(5))
+            x = cloud.points + np.random.default_rng(6).normal(scale=0.2, size=cloud.points.shape)
+            runs[threads] = (cloud.points, labels, atlas.log_density(model, x), pool_pids()["flow"])
+        serial, pooled = runs["1"], runs["2"]
+        assert serial[3] == {os.getpid()}
+        assert pooled[3] and os.getpid() not in pooled[3]
+        for a, b in zip(serial[:3], pooled[:3]):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("cached", _TORUS_MODELS, ids=lambda p: p.name)
+    def test_small_inputs_stay_in_process(self, monkeypatch, pool_pids, cached):
+        # 200 samples or 100 points through six charts of 13-layer flows
+        # stay below the threshold
+        model = atlas.load(cached)
+        monkeypatch.setenv("ATLASFLOW_THREADS", "2")
+        cloud, _ = atlas.sample(model, 200, np.random.default_rng(0))
+        atlas.log_density(model, cloud.points[:100])
+        assert pool_pids()["flow"] == {os.getpid()}
+
+
 def _perturbed_model(dim, latent_dim, seed):
     """A one-chart model whose flows carry random, non-round parameters."""
     rng = np.random.default_rng(seed)
@@ -373,7 +406,7 @@ def _perturbed_model(dim, latent_dim, seed):
         dim=dim, latent_dim=latent_dim,
         charts=[atlas.ChartModel(0, np.array([0]), flows[0], flows[1], 1.0)],
         cover=ChartCover(n_points=1, charts=[np.array([0])]),
-        config=atlas.TrainConfig(latent_dim=latent_dim),
+        config=atlas.TrainConfig(latent_dim=latent_dim, n_layers=3),
     )
 
 

@@ -296,7 +296,7 @@ class TestTrainCommand:
         assert _run(argv) == 2
         assert f"${var}={value!r}" in capsys.readouterr().err
 
-    def test_isomap_pool_writes_serial_bytes(self, torus_csv, cover_json, tmp_path, monkeypatch, isomap_pids):
+    def test_isomap_pool_writes_serial_bytes(self, torus_csv, cover_json, tmp_path, monkeypatch, pool_pids):
         monkeypatch.setattr(geo, "POOL_MIN_PAIRS", 0)
         outputs = {}
         for threads in ("1", "2"):
@@ -306,7 +306,7 @@ class TestTrainCommand:
                          "--hidden", "8,8", "--epochs-e1", "1", "--epochs-e2", "1", "--epochs-e3", "1",
                          "--epochs-e4", "1", "--epochs-e5", "1", "--seed", "2", "--log", str(log),
                          "-o", str(ckpt)]) == 0
-            outputs[threads] = (ckpt.read_bytes(), log.read_bytes(), isomap_pids())
+            outputs[threads] = (ckpt.read_bytes(), log.read_bytes(), pool_pids()["isomap"])
         assert outputs["1"][2] == {os.getpid()}
         assert outputs["2"][2] and os.getpid() not in outputs["2"][2]
         assert outputs["1"][:2] == outputs["2"][:2]
@@ -368,8 +368,26 @@ def _nan_block(entry):
     entry["f8"] = base64.b64encode(values.tobytes()).decode("ascii")
 
 
+# parts that decode on their own but disagree with each other
+_INCONSISTENT = [
+    pytest.param(_json_edited(lambda p: _layer(p).update(bound=-1.0)),
+                 "charts[0].phi.layers[0]: bound must be finite and positive, got -1.0", id="bound-negative"),
+    pytest.param(_json_edited(lambda p: _layer(p, "gamma").update(bound=0.0)),
+                 "charts[0].gamma.layers[0]: bound must be finite and positive, got 0.0", id="bound-zero"),
+    pytest.param(_json_edited(lambda p: p.update(latent_dim=1)),
+                 "latent_dim: 1 != config.latent_dim 2", id="latent-dim-differs"),
+    pytest.param(_json_edited(lambda p: p.update(dim=2)), "dim: 2 != charts[0].phi.dim 3", id="dim-differs"),
+    pytest.param(_json_edited(lambda p: p["charts"][0].update(chart_id=7)),
+                 "charts[0].chart_id: 7 is not the chart's position 0", id="chart-id-not-position"),
+    pytest.param(_json_edited(lambda p: p["config"].update(n_layers=5)),
+                 "config.n_layers: 5 != the 3 layers of charts[0].phi", id="n-layers-differs"),
+    pytest.param(_json_edited(lambda p: p["charts"].append(p["charts"][0])),
+                 "charts: 8 chart models for the cover's 7 charts", id="extra-chart"),
+]
+
+
 class TestMalformedCheckpoint:
-    @pytest.mark.parametrize("make, detail", [
+    @pytest.mark.parametrize("make, detail", _INCONSISTENT + [
         pytest.param(lambda text: b'{"format_version": 1}', "missing key 'dim'", id="v1-stub"),
         pytest.param(_json_edited(lambda p: p.pop("cover")), "missing key 'cover'", id="missing-cover"),
         pytest.param(_json_edited(lambda p: _layer(p)["conditioner"].pop("weights")),
@@ -418,6 +436,17 @@ class TestMalformedCheckpoint:
         bad = tmp_path / "model.json"
         bad.write_bytes(make(ckpt.read_text()))
         rc = _run(["sample", "--checkpoint", str(bad), "--count", "10", "-o", str(tmp_path / "s.csv")])
+        assert rc == 5
+        err = capsys.readouterr().err
+        assert str(bad) in err and detail in err
+
+    @pytest.mark.parametrize("make, detail", _INCONSISTENT)
+    def test_inconsistent_checkpoint_exit_5_in_density(self, tiny_checkpoint, torus_csv, tmp_path, capsys,
+                                                       make, detail):
+        ckpt, _ = tiny_checkpoint
+        bad = tmp_path / "model.json"
+        bad.write_bytes(make(ckpt.read_text()))
+        rc = _run(["density", "--data", str(torus_csv), "--checkpoint", str(bad), "-o", str(tmp_path / "d.csv")])
         assert rc == 5
         err = capsys.readouterr().err
         assert str(bad) in err and detail in err
@@ -487,15 +516,46 @@ class TestNumericExits:
         pytest.param(_LINE, 9, "top-2 eigenvalue not positive", id="collinear-line"),
         pytest.param(_DUPLICATES, 10, "graph disconnected", id="duplicate-chart"),
     ])
-    def test_typed_exit_from_isomap_pool(self, tmp_path, monkeypatch, capsys, isomap_pids, points, code, detail):
+    def test_typed_exit_from_isomap_pool(self, tmp_path, monkeypatch, capsys, pool_pids, points, code, detail):
         argv = _train_on(points)(tmp_path, monkeypatch, None, None)
         monkeypatch.setattr(geo, "POOL_MIN_PAIRS", 0)
         monkeypatch.setenv("ATLASFLOW_THREADS", "2")
         capsys.readouterr()
         assert _run(argv) == code
         assert detail in capsys.readouterr().err
-        pids = isomap_pids()
+        pids = pool_pids()["isomap"]
         assert pids and os.getpid() not in pids
+
+
+    def test_typed_exit_from_inference_pool(self, tmp_path, monkeypatch, capsys, pool_pids, tiny_checkpoint,
+                                            torus_csv):
+        argv = _density_flat_embedding(tmp_path, monkeypatch, tiny_checkpoint[0], torus_csv)
+        monkeypatch.setattr(atlas, "POOL_MIN_ROW_LAYERS", 0)
+        monkeypatch.setenv("ATLASFLOW_THREADS", "2")
+        capsys.readouterr()
+        assert _run(argv) == 9
+        assert "embedding Gram matrix is singular" in capsys.readouterr().err
+        pids = pool_pids()["flow"]
+        assert pids and os.getpid() not in pids
+
+
+class TestInferencePool:
+    def test_pool_writes_serial_bytes(self, tiny_checkpoint, torus_csv, tmp_path, monkeypatch, pool_pids):
+        ckpt, _ = tiny_checkpoint
+        assert len(atlas.load(ckpt).charts) >= 3
+        monkeypatch.setattr(atlas, "POOL_MIN_ROW_LAYERS", 0)
+        outputs = {}
+        for threads in ("1", "2"):
+            monkeypatch.setenv("ATLASFLOW_THREADS", threads)
+            samples, density = tmp_path / f"s{threads}.csv", tmp_path / f"d{threads}.csv"
+            assert _run(["sample", "--checkpoint", str(ckpt), "--count", "500", "--seed", "4",
+                         "-o", str(samples)]) == 0
+            assert _run(["density", "--data", str(torus_csv), "--checkpoint", str(ckpt),
+                         "-o", str(density)]) == 0
+            outputs[threads] = (samples.read_bytes(), density.read_bytes(), pool_pids()["flow"])
+        assert outputs["1"][2] == {os.getpid()}
+        assert outputs["2"][2] and os.getpid() not in outputs["2"][2]
+        assert outputs["1"][:2] == outputs["2"][:2]
 
 
 class TestDensityCommand:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.sparse.csgraph import shortest_path
 
-from atlasflow import geo
+from atlasflow import geo, pool
 from atlasflow.errors import ConnectivityError, NumericError
 
 
@@ -168,13 +168,13 @@ def _circle_charts(sizes, seed=0):
 
 
 class TestIsomapCharts:
-    def test_pool_matches_serial_bit_for_bit(self, monkeypatch, isomap_pids):
+    def test_pool_matches_serial_bit_for_bit(self, monkeypatch, pool_pids):
         charts = _circle_charts([520, 700, 610])
         assert sum(len(c) ** 2 for c in charts) >= geo.POOL_MIN_PAIRS
         runs = {}
         for threads in ("1", "2"):
             monkeypatch.setenv("ATLASFLOW_THREADS", threads)
-            runs[threads] = (geo.isomap_charts(charts, 10, 1), isomap_pids())
+            runs[threads] = (geo.isomap_charts(charts, 10, 1), pool_pids()["isomap"])
         (serial, serial_pids), (pooled, pooled_pids) = runs["1"], runs["2"]
         assert serial_pids == {os.getpid()}
         assert pooled_pids and os.getpid() not in pooled_pids
@@ -182,10 +182,10 @@ class TestIsomapCharts:
             assert emb_s.tobytes() == emb_p.tobytes()
             assert d_s.tobytes() == d_p.tobytes()
 
-    def test_small_charts_stay_in_process(self, monkeypatch, isomap_pids):
+    def test_small_charts_stay_in_process(self, monkeypatch, pool_pids):
         monkeypatch.setenv("ATLASFLOW_THREADS", "2")
         geo.isomap_charts(_circle_charts([50, 60]), 10, 1)
-        assert isomap_pids() == {os.getpid()}
+        assert pool_pids()["isomap"] == {os.getpid()}
 
     @pytest.mark.parametrize("cpus, env, n_charts, workers", [
         (2, {}, 4, 1),
@@ -200,9 +200,9 @@ class TestIsomapCharts:
     ], ids=["blas-unset", "openblas-1", "omp-1", "openblas-before-omp", "malformed-openblas-ignored",
             "blas-capped-at-cpus", "threads-1", "threads-cap", "chart-cap"])
     def test_worker_count_rule(self, monkeypatch, cpus, env, n_charts, workers):
-        monkeypatch.setattr(geo.env, "usable_cpus", lambda: cpus)
+        monkeypatch.setattr(pool.env, "usable_cpus", lambda: cpus)
         for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "ATLASFLOW_THREADS"):
             monkeypatch.delenv(var, raising=False)
         for var, value in env.items():
             monkeypatch.setenv(var, value)
-        assert geo.pool_workers(n_charts) == workers
+        assert pool.workers(n_charts) == workers
