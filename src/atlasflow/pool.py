@@ -13,27 +13,39 @@ as OpenBLAS counts them: ``$OPENBLAS_NUM_THREADS``, else
 BLAS at its default everything runs in-process.
 
 The jobs reach the workers through the fork, not by pickling: each worker
-inherits the parent's memory, jobs and models included, and gets only a job
-index.  Only the results are pickled back.  Forked workers keep the parent's
-BLAS thread count and each job runs whole in one process, so a pooled run
-returns the bytes a serial run returns.  Results are read in job order, so
-the first failing job raises the error a serial loop would.
+inherits the parent's memory, jobs and models included, and gets only job
+indices over its own pipe.  Only the results are pickled back, with pickle
+protocol 5: NumPy arrays travel out of band and the parent reads each one
+straight into a buffer of its exact size, which then backs the array, so a
+result takes its own size in the parent and no more.  The parent reads in
+its own thread, one whole result at a time, so its peak memory does not
+depend on how the workers' results interleave.  Forked workers keep the
+parent's BLAS thread count and each job runs whole in one process, so a
+pooled run returns the bytes a serial run returns.  The first failing job in
+job order raises the error a serial loop would; jobs after it are not
+started.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
+import pickle
+import selectors
+import signal
+import struct
 from collections.abc import Callable, Sequence
-from concurrent.futures import ProcessPoolExecutor
 from typing import TypeVar
 
 from . import env
 
 T = TypeVar("T")
 
-# the jobs of the pool a forked worker belongs to; set only in workers
-_worker_jobs: Sequence[Callable[[], object]] = ()
+# a job index, parent to worker
+_INDEX = struct.Struct("<I")
+# a result's header, worker to parent: pickle length and out-of-band buffer
+# count, then one length per buffer
+_HEADER = struct.Struct("<QI")
+_LENGTH = struct.Struct("<Q")
 
 
 def _blas_threads(cpus: int) -> int:
@@ -53,13 +65,103 @@ def workers(n_jobs: int) -> int:
     return min(env.threads(), cpus // _blas_threads(cpus), n_jobs)
 
 
-def _init_worker(jobs: Sequence[Callable[[], object]]) -> None:
-    global _worker_jobs
-    _worker_jobs = jobs
+def _write_all(fd: int, data) -> None:
+    view = memoryview(data).cast("B")
+    while view:
+        view = view[os.write(fd, view):]
 
 
-def _run_job(i: int):
-    return _worker_jobs[i]()
+def _read_exact(fd: int, n: int) -> bytearray:
+    buffer = bytearray(n)
+    view = memoryview(buffer)
+    while view:
+        got = os.readv(fd, [view])
+        if got == 0:
+            raise EOFError
+        view = view[got:]
+    return buffer
+
+
+def _send(fd: int, i: int, outcome: tuple[bool, object]) -> None:
+    buffers = []
+    try:
+        data = pickle.dumps(outcome, protocol=5, buffer_callback=buffers.append)
+    except Exception as exc:                # noqa: BLE001 - reported to the parent
+        buffers = []
+        error = RuntimeError(f"pool job {i}: its result cannot be pickled: {exc!r}")
+        data = pickle.dumps((False, error), protocol=5)
+    raws = [b.raw() for b in buffers]
+    _write_all(fd, _HEADER.pack(len(data), len(raws)) + b"".join(_LENGTH.pack(r.nbytes) for r in raws))
+    _write_all(fd, data)
+    for raw in raws:
+        _write_all(fd, raw)
+
+
+def _receive(fd: int) -> tuple[bool, object]:
+    n_data, n_buffers = _HEADER.unpack(_read_exact(fd, _HEADER.size))
+    lengths = struct.unpack(f"<{n_buffers}Q", _read_exact(fd, n_buffers * _LENGTH.size))
+    data = _read_exact(fd, n_data)
+    return pickle.loads(data, buffers=[_read_exact(fd, n) for n in lengths])
+
+
+def _serve(jobs: Sequence[Callable[[], object]], tasks: int, results: int) -> None:
+    """A worker's loop: run each job index read from ``tasks`` until EOF and
+    send back ``(True, result)`` or ``(False, exception)``."""
+    while raw := os.read(tasks, _INDEX.size):
+        (i,) = _INDEX.unpack(raw)
+        try:
+            outcome = (True, jobs[i]())
+        except Exception as exc:            # noqa: BLE001 - re-raised in the parent
+            outcome = (False, exc)
+        _send(results, i, outcome)
+
+
+class _Worker:
+    def __init__(self, jobs: Sequence[Callable[[], object]], inherited: list[int]):
+        tasks_r, self.tasks = os.pipe()
+        self.results, results_w = os.pipe()
+        self.job: int | None = None
+        self.pid = os.fork()
+        if self.pid == 0:
+            code = 1
+            try:
+                for fd in (*inherited, self.tasks, self.results):
+                    os.close(fd)
+                _serve(jobs, tasks_r, results_w)
+                code = 0
+            finally:
+                # skip the parent's atexit handlers and its buffered output
+                os._exit(code)
+        os.close(tasks_r)
+        os.close(results_w)
+
+    def start(self, i: int) -> None:
+        self.job = i
+        _write_all(self.tasks, _INDEX.pack(i))
+
+
+def _collect(pool: list[_Worker], queue: list[int], outcomes: dict[int, tuple[bool, object]]) -> None:
+    """Hand out ``queue`` in order to whichever worker is free and store each
+    job's outcome; a job after the first failing one is not started."""
+    first_failure = len(queue) + len(pool)
+    with selectors.DefaultSelector() as selector:
+        for w in pool:
+            w.start(queue.pop(0))
+            selector.register(w.results, selectors.EVENT_READ, w)
+        while selector.get_map():
+            for key, _ in selector.select():
+                w = key.data
+                try:
+                    outcomes[w.job] = _receive(w.results)
+                except EOFError:
+                    raise RuntimeError(f"pool worker {w.pid} exited while running job {w.job}") from None
+                if not outcomes[w.job][0]:
+                    first_failure = min(first_failure, w.job)
+                    queue[:] = [i for i in queue if i < first_failure]
+                if queue:
+                    w.start(queue.pop(0))
+                else:
+                    selector.unregister(w.results)
 
 
 def run_jobs(jobs: Sequence[Callable[[], T]], costs: Sequence[float], min_cost: float) -> list[T]:
@@ -68,16 +170,27 @@ def run_jobs(jobs: Sequence[Callable[[], T]], costs: Sequence[float], min_cost: 
     n_workers = workers(len(jobs))
     if n_workers < 2 or sum(costs) < min_cost:
         return [job() for job in jobs]
-    # fork, not spawn: a 2-worker spawn pool takes ~0.9 s to start (each
-    # worker re-imports NumPy and SciPy) and would pickle the jobs, a fork
-    # pool ~15 ms.  A forked worker's initializer arguments are inherited,
-    # not pickled.  The parent runs no threads of its own here; OpenBLAS
-    # quiesces its pool at fork.
-    context = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(n_workers, mp_context=context, initializer=_init_worker, initargs=(jobs,)) as executor:
-        largest_first = sorted(range(len(jobs)), key=lambda i: -costs[i])
-        futures = {i: executor.submit(_run_job, i) for i in largest_first}
-        try:
-            return [futures[i].result() for i in range(len(jobs))]
-        finally:
-            executor.shutdown(cancel_futures=True)
+    # fork, not spawn: a spawned worker re-imports NumPy and SciPy (~0.4 s
+    # each) and would need the jobs pickled.  The parent runs no threads of
+    # its own here; OpenBLAS quiesces its pool at fork.
+    outcomes: dict[int, tuple[bool, object]] = {}
+    pool: list[_Worker] = []
+    try:
+        for _ in range(n_workers):
+            pool.append(_Worker(jobs, [fd for w in pool for fd in (w.tasks, w.results)]))
+        _collect(pool, sorted(range(len(jobs)), key=lambda i: -costs[i]), outcomes)
+    finally:
+        for w in pool:
+            os.close(w.tasks)               # an idle worker exits at EOF
+            os.close(w.results)
+        for w in pool:
+            if w.job not in outcomes:       # still running: the parent raised
+                os.kill(w.pid, signal.SIGKILL)
+            os.waitpid(w.pid, 0)
+    results = []
+    for i in range(len(jobs)):
+        ok, value = outcomes[i]
+        if not ok:
+            raise value
+        results.append(value)
+    return results
