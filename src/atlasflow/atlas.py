@@ -9,12 +9,19 @@ are recomputed every ``c_s`` epochs and the compatibility weight ramps up,
 annealed learning rate (restarted per phase), and global-norm clipping apply
 to every update.
 
-:func:`train` is one loop over the phase table ``((1, e1), (2, e1), (3,
-e2 + e3), (4, e4), (5, e5))``, then over each phase's epochs, then over the
-charts; one helper runs a chart's epoch of any phase.  Each chart owns its
-RNG streams, flows and optimiser states, so this order draws the same numbers
-as running phases 1-3 chart by chart would.  Log rows arrive in (phase,
-epoch, chart) order.
+:func:`train` runs the schedule in rounds: round 1 holds phases 1-3 whole,
+then phase 4 runs in windows of ``c_s`` epochs, with the expected points
+refreshed from every chart's ``phi`` before each, and the last window also
+runs phase 5 (with no phase-4 epochs, round 1 runs everything).  One helper
+runs a chart's epoch of any phase.  Charts meet only in the expected points,
+and each chart owns its RNG streams, flows and optimiser states, so within a
+round any order of the charts draws the same numbers.  With one worker a
+round loops over its phases, their epochs, then the charts, in-process.
+Above ``POOL_MIN_ROW_LAYERS`` it runs one job per chart through
+:func:`pool.run_shares`: this process trains one share of the charts and
+forked children the rest, and each child sends back the flows, optimiser
+states, RNGs and latents it changed.  Either way log rows arrive in (phase,
+epoch, chart) order and a failure raises what the serial loop would.
 
 Mixture weights over charts come from the disintegration of the data measure
 over the refined partition: c_k = sum of nu(cell)/n(cell) over the cells
@@ -63,12 +70,15 @@ from .nnopt import AdamState, LrSchedule, adam_step, clip_global_norm, init_adam
 from .synth import PointCloud
 
 CHECKPOINT_FORMAT_VERSION = 2
-# Summed rows x flow layers of one round of per-chart inference jobs below
-# which sample and log_density run in-process.  On a 2-vCPU x86-64 VM at one
-# BLAS thread, a fork-pool round trip costs ~15 ms and a row through one
-# 13-layer torus-preset flow layer ~2.7 us after a ~26 ms per-call floor, so
-# two workers break even near 3,000 row-layers (600 samples: 82 ms serial,
-# 75 ms pooled); the margin covers uneven charts and smaller conditioners.
+# Summed rows x flow layers of one round of per-chart jobs below which
+# sample, log_density and a training round run in-process.  On a 2-vCPU
+# x86-64 VM at one BLAS thread, a fork-pool round trip costs ~15 ms and a row
+# through one 13-layer torus-preset flow layer ~2.7 us after a ~26 ms
+# per-call floor, so two workers break even near 3,000 row-layers for
+# inference (600 samples: 82 ms serial, 75 ms pooled).  A training round
+# counts member rows x its epochs x (phi + gamma layers); on two charts it
+# broke even between 9,400 and 18,700 (81 against 116 ms, 199 against 129 ms)
+# at the torus preset, and between 11,500 and 17,300 at 2 layers of 8 units.
 POOL_MIN_ROW_LAYERS = 20_000
 # annotation of a scalar TrainConfig field -> (accepted type, what to call it)
 _NUMERIC_TYPES = {"int": (numbers.Integral, "an integer"), "float": (numbers.Real, "a number")}
@@ -402,6 +412,107 @@ def _chart_epoch(st: _ChartState, phase, epoch, lr, xhat, cover, x_all, cfg) -> 
     return means if phase == 1 else {"lambda_t": lam, **means}
 
 
+# the fields of a _ChartState that training changes: what a forked round
+# sends back, and what the parent drops while a child owns the chart
+_TRAINED = ("init_rng", "rng", "phi", "opt_phi", "gamma", "opt_gamma", "latents")
+
+
+def _rounds(cfg: TrainConfig) -> list[list[tuple[int, int, int, int]]]:
+    """The schedule as rounds of ``(phase, n_epochs, first, last)`` segments,
+    each running epochs ``first..last`` of a phase of ``n_epochs`` epochs; a
+    segment with ``first == 1`` begins its phase.  Round 1 holds phases 1-3
+    (and 4-5 when phase 4 has no epochs).  Then phase 4 runs in windows of
+    ``c_s`` epochs, the expected points being refreshed before each, and the
+    last window also runs phase 5."""
+    e1, e2, e3, e4, e5 = cfg.epochs
+    rounds = [[(1, e1, 1, e1), (2, e1, 1, e1), (3, e2 + e3, 1, e2 + e3)]]
+    if e4 == 0:
+        rounds[0].append((4, 0, 1, 0))
+    for first in range(1, e4 + 1, cfg.c_s):
+        rounds.append([(4, e4, first, min(first + cfg.c_s - 1, e4))])
+    rounds[-1].append((5, e5, 1, e5))
+    return rounds
+
+
+def _begin_phase(st: _ChartState, phase: int, n_epochs: int, cfg: TrainConfig, n_points: int) -> None:
+    if phase == 2:
+        _build_gamma(st, cfg, n_points)
+    else:
+        # gamma steps on frozen latents only while phi does not move
+        st.latents = _frozen_latents(st, n_points, cfg.latent_dim) if phase == 5 and n_epochs else None
+
+
+def _chart_step(st: _ChartState, phase, n_epochs, epoch, xhat, cover, x_all, cfg) -> dict:
+    """Epoch ``epoch`` of ``phase`` on chart ``st``, as its log row."""
+    lr = lr_at(LrSchedule(cfg.learning_rate, n_epochs), epoch - 1)
+    row = {"phase": phase, "epoch": epoch, "chart": st.chart_id, "lr": lr}
+    row.update(_chart_epoch(st, phase, epoch, lr, xhat, cover, x_all, cfg))
+    return row
+
+
+def _chart_round(st: _ChartState, segments, xhat, cover, x_all, cfg):
+    """One chart's whole round: ``(rows, trained fields, failure)``, where
+    ``failure`` is None or ``((phase, epoch, chart), exception)`` for the
+    step that raised; a phase's start counts as its epoch 0."""
+    rows = []
+    try:
+        for phase, n_epochs, first, last in segments:
+            key = (phase, 0, st.chart_id)
+            if first == 1:
+                _begin_phase(st, phase, n_epochs, cfg, x_all.shape[0])
+            for j in range(first, last + 1):
+                key = (phase, j, st.chart_id)
+                rows.append(_chart_step(st, phase, n_epochs, j, xhat, cover, x_all, cfg))
+        failure = None
+    except Exception as exc:                # noqa: BLE001 - raised after the round, in step order
+        failure = (key, exc)
+    return rows, tuple(getattr(st, name) for name in _TRAINED), failure
+
+
+def _release(st: _ChartState) -> None:
+    for name in _TRAINED:
+        setattr(st, name, None)
+
+
+def _train_round(states: list[_ChartState], segments, xhat, cover, x_all, cfg, log_rows) -> None:
+    """Run one round over every chart.  In-process, the loop runs over the
+    segments, their epochs, then the charts, appending each row as its step
+    finishes.  Pooled, each chart's round is one job; the parent drops the
+    trained state of the charts a child owns until the child sends it back,
+    the rows are appended in (phase, epoch, chart) order once the round is
+    done, and of the failures the one with the smallest (phase, epoch,
+    chart) is raised after the rows before it, as the serial loop would."""
+    n_epochs_in_round = sum(last - first + 1 for _, _, first, last in segments)
+    costs = [st.members.size * n_epochs_in_round * 2 * cfg.n_layers for st in states]
+    split = pool.shares(costs, POOL_MIN_ROW_LAYERS)
+    if len(split) == 1:
+        for phase, n_epochs, first, last in segments:
+            if first == 1:
+                for st in states:
+                    _begin_phase(st, phase, n_epochs, cfg, x_all.shape[0])
+            for j in range(first, last + 1):
+                for st in states:
+                    row = _chart_step(st, phase, n_epochs, j, xhat, cover, x_all, cfg)
+                    if log_rows is not None:
+                        log_rows.append(row)
+        return
+    jobs = [partial(_chart_round, st, segments, xhat, cover, x_all, cfg) for st in states]
+    results = pool.run_shares(jobs, split, release=lambda k: _release(states[k]))
+    rows, failures = {}, []
+    for st, (chart_rows, trained, failure) in zip(states, results):
+        for name, value in zip(_TRAINED, trained):
+            setattr(st, name, value)
+        rows.update(((row["phase"], row["epoch"], st.chart_id), row) for row in chart_rows)
+        if failure is not None:
+            failures.append(failure)
+    stop, error = min(failures, key=lambda f: f[0], default=(None, None))
+    if log_rows is not None:
+        for key in sorted(k for k in rows if stop is None or k < stop):
+            log_rows.append(rows[key])
+    if error is not None:
+        raise error
+
+
 def train(
     points: PointCloud | np.ndarray,
     cover: ChartCover,
@@ -411,17 +522,19 @@ def train(
     """Run the five-phase schedule and return the trained atlas.
 
     Every chart's Isomap runs first, through :func:`geo.isomap_charts`,
-    which may use worker processes.  Then one loop runs over the phases,
-    then their epochs, then the charts.  ``log_rows``, when given, receives one dict per (phase, epoch, chart)
-    with epoch-averaged loss components, appended as that step finishes, so
-    rows arrive in (phase, epoch, chart) order.
+    which may use worker processes.  Then the schedule runs in the rounds of
+    :func:`_rounds`, each through :func:`_train_round`, the expected points
+    being refreshed from every chart's ``phi`` before each phase-4 window.
+    ``log_rows``, when given, receives one dict per (phase, epoch, chart)
+    with epoch-averaged loss components, in (phase, epoch, chart) order,
+    through ``append`` only.
     """
     x_all = points.points if isinstance(points, PointCloud) else np.asarray(points, dtype=float)
     n_points, dim = x_all.shape
     if cover.n_points != n_points:
         raise CoverError(f"cover indexes {cover.n_points} points, data has {n_points}")
     n = cfg.latent_dim
-    e1, e2, e3, e4, e5 = cfg.epochs
+    e1, e2, e3, e4, _ = cfg.epochs
 
     c = disintegration_weights(cover)
 
@@ -445,25 +558,11 @@ def train(
         ))
 
     xhat: ExpectedPoints | None = None
-    for phase, n_epochs in ((1, e1), (2, e1), (3, e2 + e3), (4, e4), (5, e5)):
-        for st in states:
-            if phase == 2:
-                _build_gamma(st, cfg, n_points)
-            else:
-                # gamma steps on frozen latents only while phi does not move
-                st.latents = _frozen_latents(st, n_points, n) if phase == 5 and n_epochs else None
-        if n_epochs == 0:
-            continue
-        sched = LrSchedule(cfg.learning_rate, n_epochs)
-        for j in range(1, n_epochs + 1):
-            lr = lr_at(sched, j - 1)
-            if phase == 4 and (j - 1) % cfg.c_s == 0:
-                xhat = expected_points([st.phi for st in states], n, cover, x_all, epoch=j)
-            for st in states:
-                row = {"phase": phase, "epoch": j, "chart": st.chart_id, "lr": lr}
-                row.update(_chart_epoch(st, phase, j, lr, xhat, cover, x_all, cfg))
-                if log_rows is not None:
-                    log_rows.append(row)
+    for segments in _rounds(cfg):
+        phase, _, first, _ = segments[0]
+        if phase == 4:
+            xhat = expected_points([st.phi for st in states], n, cover, x_all, epoch=first)
+        _train_round(states, segments, xhat, cover, x_all, cfg, log_rows)
 
     charts = [
         ChartModel(chart_id=st.chart_id, members=st.members, phi=st.phi, gamma=st.gamma, c_k=float(c[st.chart_id]))

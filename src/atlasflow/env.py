@@ -2,8 +2,8 @@
 
 ``ATLASFLOW_SEED`` is the default seed of ``synth``, ``sample`` and
 ``train``; ``ATLASFLOW_THREADS`` caps the threads of the neighbor search and
-the worker processes of :mod:`pool` (per-chart Isomap, sampling and
-log-density).  A set value that is not an integer in range raises
+the worker processes of :mod:`pool` (per-chart Isomap, training,
+sampling and log-density).  A set value that is not an integer in range raises
 :class:`ConfigError` naming the variable, so a typo never falls back to a
 default silently.
 """

@@ -7,8 +7,8 @@ against a Floyd-Warshall oracle.
 
 :func:`isomap_charts` runs one Isomap per chart.  When the charts hold at
 least ``POOL_MIN_PAIRS`` point pairs it hands them to :func:`pool.run_jobs`,
-the fork pool that also serves sampling and log-density, which may run them
-in worker processes, largest chart first.
+the fork pool that also serves training, sampling and log-density, which
+may run them in worker processes, largest chart first.
 """
 
 from __future__ import annotations

@@ -3,15 +3,16 @@ from collections import defaultdict
 
 import pytest
 
+from atlasflow import atlas, geo
 from atlasflow import flow as fl
-from atlasflow import geo
 
 
 @pytest.fixture
 def pool_pids(monkeypatch, tmp_path):
     """Reader of the PIDs that did pool-able work since the last read: a dict
-    from ``"isomap"`` (built a kNN graph) and ``"flow"`` (ran a flow pass
-    through ``fl.stack_forward``/``fl.stack_inverse``) to sets of PIDs.
+    from ``"isomap"`` (built a kNN graph), ``"train"`` (ran a chart's epoch)
+    and ``"flow"`` (ran a flow pass through ``fl.stack_forward``/
+    ``fl.stack_inverse``) to sets of PIDs.
 
     The environment allows the fork pool (one BLAS thread); a test sets
     ``ATLASFLOW_THREADS`` and compares the PIDs against its own, so a pool
@@ -30,6 +31,7 @@ def pool_pids(monkeypatch, tmp_path):
         return record
 
     monkeypatch.setattr(geo, "knn_graph", recording("isomap", geo.knn_graph))
+    monkeypatch.setattr(atlas, "_chart_epoch", recording("train", atlas._chart_epoch))
     for name in ("stack_forward_cached", "stack_inverse_cached"):
         monkeypatch.setattr(fl, name, recording("flow", getattr(fl, name)))
 

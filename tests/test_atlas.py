@@ -10,7 +10,7 @@ import pytest
 from atlasflow import atlas
 from atlasflow import flow as fl
 from atlasflow.cover import ChartCover, MapperConfig
-from atlasflow.errors import CheckpointError, CoverError
+from atlasflow.errors import CheckpointError, CoverError, DivergenceError
 from atlasflow.synth import PointCloud
 
 # trained by the format_version 1 writer, which stored parameters as decimal lists
@@ -223,6 +223,76 @@ class TestTraining:
         atlas.train(cloud, cover, _tiny_config(epochs=(1, 1, 1, 2, 0), lambda_p=1.0), log_rows=rows)
         r4 = [r for r in rows if r["phase"] == 4]
         assert len(r4) == 2 and all(r["lambda_t"] == 1.0 and r["recon"] > 0 for r in r4)
+
+
+class _AppendOnly:
+    """A log sink with ``append`` alone, as the benchmark's tracer passes."""
+
+    def __init__(self):
+        self.rows = []
+
+    def append(self, row):
+        self.rows.append(row)
+
+
+def _diverging(monkeypatch, steps):
+    """Make ``atlas._chart_epoch`` diverge at the given (phase, epoch, chart) steps."""
+    epoch_fn = atlas._chart_epoch
+
+    def chart_epoch(st, phase, epoch, *args):
+        if (phase, epoch, st.chart_id) in steps:
+            atlas._check_finite(float("nan"), phase, epoch, st.chart_id)
+        return epoch_fn(st, phase, epoch, *args)
+
+    monkeypatch.setattr(atlas, "_chart_epoch", chart_epoch)
+
+
+class TestTrainingPool:
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("name", sorted(_PINNED_RUNS))
+    def test_pool_matches_recorded_digests(self, tmp_path, monkeypatch, pool_pids, name, threads):
+        make, checkpoint_sha, rows_sha = _PINNED_RUNS[name]
+        monkeypatch.setattr(atlas, "POOL_MIN_ROW_LAYERS", 0)
+        monkeypatch.setenv("ATLASFLOW_THREADS", threads)
+        cloud, cover, cfg = make()
+        sink = _AppendOnly()
+        model = atlas.train(cloud, cover, cfg, log_rows=sink)
+        path = tmp_path / "ckpt.json"
+        atlas.save(model, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == checkpoint_sha
+        assert hashlib.sha256(json.dumps(sink.rows).encode()).hexdigest() == rows_sha
+        pids = pool_pids()["train"]
+        if threads == "1":
+            assert pids == {os.getpid()}
+        else:
+            assert os.getpid() in pids and len(pids) > 1
+
+    def test_small_rounds_stay_in_process(self, monkeypatch, pool_pids):
+        # the size of the benchmark's tracer self-check: 2-layer flows on 400
+        # points, epochs 2/1/1/3/1, so round 1 counts ~11,000 row-layers
+        monkeypatch.setenv("ATLASFLOW_THREADS", "2")
+        cloud = _plane_cloud(n=400, seed=2)
+        cfg = _tiny_config(n_layers=2, hidden=(8, 8), batch_size=64, epochs=(2, 1, 1, 3, 1), c_s=2)
+        atlas.train(cloud, _two_charts(400, 30), cfg)
+        assert pool_pids()["train"] == {os.getpid()}
+
+    def test_first_failing_step_raises(self, monkeypatch, pool_pids):
+        # chart 0 fails first in chart order, chart 1 first in step order
+        _diverging(monkeypatch, {(3, 1, 0), (1, 2, 1)})
+        monkeypatch.setattr(atlas, "POOL_MIN_ROW_LAYERS", 0)
+        make, _, _ = _PINNED_RUNS["plane-five-phases"]
+        cloud, cover, cfg = make()
+        runs = {}
+        for threads in ("1", "2"):
+            monkeypatch.setenv("ATLASFLOW_THREADS", threads)
+            rows = []
+            with pytest.raises(DivergenceError) as info:
+                atlas.train(cloud, cover, cfg, log_rows=rows)
+            runs[threads] = ((info.value.phase, info.value.epoch, info.value.chart), rows, pool_pids()["train"])
+        assert runs["1"][0] == runs["2"][0] == (1, 2, 1)
+        assert [_row_key(r) for r in runs["2"][1]] == [(1, 1, 0), (1, 1, 1), (1, 2, 0)]
+        assert runs["1"][1] == runs["2"][1]
+        assert len(runs["2"][2]) > 1
 
 
 class TestSampling:

@@ -311,6 +311,21 @@ class TestTrainCommand:
         assert outputs["2"][2] and os.getpid() not in outputs["2"][2]
         assert outputs["1"][:2] == outputs["2"][:2]
 
+    def test_training_pool_writes_serial_bytes(self, torus_csv, cover_json, tmp_path, monkeypatch, pool_pids):
+        monkeypatch.setattr(atlas, "POOL_MIN_ROW_LAYERS", 0)
+        outputs = {}
+        for threads in ("1", "2"):
+            monkeypatch.setenv("ATLASFLOW_THREADS", threads)
+            ckpt, log = tmp_path / f"m{threads}.json", tmp_path / f"log{threads}.csv"
+            assert _run(["train", "--data", str(torus_csv), "--cover", str(cover_json), "--layers", "2",
+                         "--hidden", "8,8", "--epochs-e1", "1", "--epochs-e2", "1", "--epochs-e3", "1",
+                         "--epochs-e4", "3", "--epochs-e5", "1", "--cs", "2", "--seed", "2",
+                         "--log", str(log), "-o", str(ckpt)]) == 0
+            outputs[threads] = (ckpt.read_bytes(), log.read_bytes(), pool_pids()["train"])
+        assert outputs["1"][2] == {os.getpid()}
+        assert os.getpid() in outputs["2"][2] and len(outputs["2"][2]) > 1
+        assert outputs["1"][:2] == outputs["2"][:2]
+
 
 class TestSampleCommand:
     def test_row_count_and_chart_column(self, tiny_checkpoint, tmp_path):
@@ -526,6 +541,28 @@ class TestNumericExits:
         pids = pool_pids()["isomap"]
         assert pids and os.getpid() not in pids
 
+
+    def test_divergence_exit_from_training_pool(self, torus_csv, cover_json, tmp_path, monkeypatch, capsys,
+                                                pool_pids):
+        # chart 0 diverges first in chart order, chart 1 first in (phase, epoch, chart) order
+        chart_epoch = atlas._chart_epoch
+
+        def diverging(st, phase, epoch, *args):
+            if (phase, epoch, st.chart_id) in {(3, 1, 0), (1, 2, 1)}:
+                atlas._check_finite(float("nan"), phase, epoch, st.chart_id)
+            return chart_epoch(st, phase, epoch, *args)
+
+        monkeypatch.setattr(atlas, "_chart_epoch", diverging)
+        monkeypatch.setattr(atlas, "POOL_MIN_ROW_LAYERS", 0)
+        errors = {}
+        for threads in ("1", "2"):
+            monkeypatch.setenv("ATLASFLOW_THREADS", threads)
+            capsys.readouterr()
+            assert _run(["train", "--data", str(torus_csv), "--cover", str(cover_json), "--layers", "2",
+                         "--hidden", "8,8", "--epochs-e1", "2", "-o", str(tmp_path / "m.json")]) == 4
+            errors[threads] = capsys.readouterr().err
+        assert errors["1"] == errors["2"] == "error: loss diverged (phase 1, epoch 2, chart 1)\n"
+        assert len(pool_pids()["train"]) > 1
 
     def test_typed_exit_from_inference_pool(self, tmp_path, monkeypatch, capsys, pool_pids, tiny_checkpoint,
                                             torus_csv):
