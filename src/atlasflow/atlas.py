@@ -278,7 +278,7 @@ class _ChartState:
     phi: fl.FlowStack
     opt_phi: AdamState
     embedding: np.ndarray | None = None
-    geodesics: np.ndarray | None = None
+    geodesics: np.ndarray | None = None  # condensed, as geo.isomap returns them
     gamma: fl.FlowStack | None = None  # built as phase 2 starts
     opt_gamma: AdamState | None = None
     latents: np.ndarray | None = None  # frozen phi latent codes, by global point index
@@ -359,7 +359,8 @@ def _chart_batch(st: _ChartState, positions: np.ndarray, cover: ChartCover, with
         indices=gidx,
         x=st.x[positions],
         r=None if st.embedding is None else st.embedding[positions],
-        d_ref=None if (not with_dref or st.geodesics is None) else st.geodesics[np.ix_(positions, positions)],
+        d_ref=None if (not with_dref or st.geodesics is None)
+        else geo.condensed_block(st.geodesics, len(st.members), positions),
         multiplicity=cover.multiplicity[gidx],
     )
 

@@ -1,8 +1,11 @@
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.sparse.csgraph import shortest_path
+from scipy.spatial.distance import squareform
 
 from atlasflow import geo, pool
 from atlasflow.errors import ConnectivityError, NumericError
@@ -86,6 +89,14 @@ class TestGeodesics:
         with pytest.raises(ConnectivityError, match="node"):
             geo.geodesic_matrix(g)
 
+    def test_disconnected_names_first_unreachable_pair(self):
+        rng = np.random.default_rng(8)
+        pts = np.concatenate([rng.normal(size=(300, 2)), 50.0 + rng.normal(size=(40, 2))])[rng.permutation(340)]
+        g = geo.knn_graph(pts, 4)
+        i, j = np.argwhere(np.isinf(shortest_path(g.adjacency, method="D")))[0]
+        with pytest.raises(ConnectivityError, match=f"node {j} unreachable from node {i}$"):
+            geo.geodesic_matrix(g)
+
     def test_symmetric_zero_diagonal_dominates_euclidean(self):
         rng = np.random.default_rng(4)
         pts = rng.normal(size=(80, 2))
@@ -143,6 +154,7 @@ class TestIsomap:
         rng = np.random.default_rng(7)
         pts = np.column_stack([rng.uniform(0, 3, 120), rng.uniform(0, 1, 120), np.zeros(120)])
         emb, d = geo.isomap(pts, 8, 2)
+        d = squareform(d)
         assert emb.shape == (120, 2)
         np.testing.assert_array_equal(d, d.T)
         # flat data: geodesics approximately Euclidean, embedding preserves them
@@ -156,6 +168,49 @@ class TestIsomap:
         emb, d = geo.isomap(pts, 1, 1)
         assert np.all(np.isfinite(d))
         assert emb.shape == (10, 1)
+
+    def test_bit_identical_to_full_matrix_algebra(self):
+        # 610 points: the symmetrising blocks of geodesic_matrix do not tile it
+        pts = _circle_charts([610], seed=9)[0]
+        emb, condensed = geo.isomap(pts, 10, 2)
+        full = geo.geodesic_matrix(geo.knn_graph(pts, 10))
+        assert squareform(condensed).tobytes() == full.tobytes()
+        sq = full * full
+        b = -0.5 * (sq - sq.mean(axis=1, keepdims=True) - sq.mean(axis=0, keepdims=True) + sq.mean())
+        vals, vecs = scipy.linalg.eigh(b.copy(), subset_by_index=[608, 609])
+        coords = vecs[:, ::-1] * np.sqrt(vals[::-1])
+        for j in range(2):
+            if coords[np.argmax(np.abs(coords[:, j])), j] < 0:
+                coords[:, j] = -coords[:, j]
+        assert emb.tobytes() == coords.tobytes()
+
+    def test_memory_stays_under_three_square_matrices(self):
+        m = 1200
+        pts = _circle_charts([m], seed=10)[0]
+        square = 8 * m * m
+        tracemalloc.start()
+        try:
+            _, condensed = geo.isomap(pts, 10, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert condensed.nbytes == 8 * (m * (m - 1) // 2) < 0.5 * square
+        assert peak < 3 * square
+
+
+class TestCondensedBlock:
+    @pytest.mark.parametrize("kind", ["random", "ends", "whole"])
+    def test_matches_square_submatrix(self, kind):
+        m = 301
+        rng = np.random.default_rng(11)
+        full = squareform(rng.uniform(0.5, 2.0, m * (m - 1) // 2))
+        positions = {
+            "random": rng.choice(m, size=64, replace=False),
+            "ends": rng.permutation(np.concatenate([[0, m - 1], rng.choice(np.arange(1, m - 1), 30, replace=False)])),
+            "whole": rng.permutation(m),
+        }[kind]
+        block = geo.condensed_block(squareform(full), m, positions)
+        assert block.tobytes() == full[np.ix_(positions, positions)].tobytes()
 
 
 def _circle_charts(sizes, seed=0):
