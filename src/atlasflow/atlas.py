@@ -18,10 +18,10 @@ and each chart owns its RNG streams, flows and optimiser states, so within a
 round any order of the charts draws the same numbers.  With one worker a
 round loops over its phases, their epochs, then the charts, in-process.
 Above ``POOL_MIN_ROW_LAYERS`` it runs one job per chart through
-:func:`pool.run_shares`: this process trains one share of the charts and
-forked children the rest, and each child sends back the flows, optimiser
-states, RNGs and latents it changed.  Either way log rows arrive in (phase,
-epoch, chart) order and a failure raises what the serial loop would.
+:func:`pool.run_jobs`: forked workers train the charts, largest first, while
+this process waits, and each worker sends back the flows, optimiser states,
+RNGs and latents it changed.  Either way log rows arrive in (phase, epoch,
+chart) order and a failure raises what the serial loop would.
 
 Mixture weights over charts come from the disintegration of the data measure
 over the refined partition: c_k = sum of nu(cell)/n(cell) over the cells
@@ -414,7 +414,7 @@ def _chart_epoch(st: _ChartState, phase, epoch, lr, xhat, cover, x_all, cfg) -> 
 
 
 # the fields of a _ChartState that training changes: what a forked round
-# sends back, and what the parent drops while a child owns the chart
+# sends back, and what the parent drops while a worker trains the chart
 _TRAINED = ("init_rng", "rng", "phi", "opt_phi", "gamma", "opt_gamma", "latents")
 
 
@@ -478,15 +478,15 @@ def _release(st: _ChartState) -> None:
 def _train_round(states: list[_ChartState], segments, xhat, cover, x_all, cfg, log_rows) -> None:
     """Run one round over every chart.  In-process, the loop runs over the
     segments, their epochs, then the charts, appending each row as its step
-    finishes.  Pooled, each chart's round is one job; the parent drops the
-    trained state of the charts a child owns until the child sends it back,
-    the rows are appended in (phase, epoch, chart) order once the round is
-    done, and of the failures the one with the smallest (phase, epoch,
-    chart) is raised after the rows before it, as the serial loop would."""
+    finishes.  Pooled (by the rule of :func:`pool.pooled_workers`), each
+    chart's round is one job of :func:`pool.run_jobs`; the parent drops
+    every chart's trained state until its worker sends it back, the rows are
+    appended in (phase, epoch, chart) order once the round is done, and of
+    the failures the one with the smallest (phase, epoch, chart) is raised
+    after the rows before it, as the serial loop would."""
     n_epochs_in_round = sum(last - first + 1 for _, _, first, last in segments)
     costs = [st.members.size * n_epochs_in_round * 2 * cfg.n_layers for st in states]
-    split = pool.shares(costs, POOL_MIN_ROW_LAYERS)
-    if len(split) == 1:
+    if pool.pooled_workers(costs, POOL_MIN_ROW_LAYERS) == 1:
         for phase, n_epochs, first, last in segments:
             if first == 1:
                 for st in states:
@@ -498,7 +498,7 @@ def _train_round(states: list[_ChartState], segments, xhat, cover, x_all, cfg, l
                         log_rows.append(row)
         return
     jobs = [partial(_chart_round, st, segments, xhat, cover, x_all, cfg) for st in states]
-    results = pool.run_shares(jobs, split, release=lambda k: _release(states[k]))
+    results = pool.run_jobs(jobs, costs, POOL_MIN_ROW_LAYERS, release=lambda k: _release(states[k]))
     rows, failures = {}, []
     for st, (chart_rows, trained, failure) in zip(states, results):
         for name, value in zip(_TRAINED, trained):

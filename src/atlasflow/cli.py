@@ -17,9 +17,9 @@ overrides $ATLASFLOW_SEED (for the seed), which overrides the preset defaults
 (torus values unless --preset trefoil).  synth and sample take their seed
 from --seed, else $ATLASFLOW_SEED, else 0.  $ATLASFLOW_THREADS (default: one
 per usable CPU) caps the threads of the neighbor search and the worker
-processes of the one fork pool that runs the per-chart Isomaps and training
-rounds of train and the per-chart flow passes of sample and density.  A
-malformed $ATLASFLOW_SEED or $ATLASFLOW_THREADS exits 2.
+processes of the one fork pool, which runs the per-chart Isomaps and training
+rounds of train and the per-chart flow passes of sample and density while
+the parent waits.  A malformed $ATLASFLOW_SEED or $ATLASFLOW_THREADS exits 2.
 """
 
 from __future__ import annotations

@@ -2,10 +2,10 @@
 
 ``ATLASFLOW_SEED`` is the default seed of ``synth``, ``sample`` and
 ``train``; ``ATLASFLOW_THREADS`` caps the threads of the neighbor search and
-the worker processes of :mod:`pool` (per-chart Isomap, training,
-sampling and log-density).  A set value that is not an integer in range raises
-:class:`ConfigError` naming the variable, so a typo never falls back to a
-default silently.
+the worker processes of :func:`pool.run_jobs`, the one runner of per-chart
+Isomap, training, sampling and log-density.  A set value that is not an
+integer in range raises :class:`ConfigError` naming the variable, so a typo
+never falls back to a default silently.
 """
 
 from __future__ import annotations

@@ -2,16 +2,10 @@
 
 Each chart's pass depends on no other chart's, but neither Dijkstra, the
 eigen solve nor the flow passes' many small NumPy calls release the GIL for
-long.  So per-chart jobs run in forked processes when their summed cost
-reaches the caller's threshold, and in-process otherwise.  There are two
-runners:
-
-- :func:`run_jobs` (Isomap, sampling, log-density) hands the jobs, largest
-  first, to worker processes as they free up, while the parent waits.
-- :func:`run_shares` (a training round) splits the jobs into one share per
-  worker with :func:`shares`.  The parent runs share 0 itself and each
-  other share runs in one forked child, so no CPU idles in a waiting
-  parent.  A child runs its whole share, then sends the results back.
+long.  So :func:`run_jobs` runs per-chart jobs in forked worker processes
+when their summed cost reaches the caller's threshold, and in-process
+otherwise.  Pooled, it hands the jobs, largest first, to the workers as they
+free up, while the parent waits.
 
 The pool has ``min($ATLASFLOW_THREADS, usable CPUs // BLAS threads, jobs)``
 workers and is used only when that is at least 2.  BLAS threads are counted
@@ -21,16 +15,17 @@ BLAS at its default everything runs in-process.
 
 The jobs reach the workers through the fork, not by pickling: each worker
 inherits the parent's memory, jobs and models included, and gets only job
-indices over its own pipe.  Only the results are pickled back, with pickle
-protocol 5: NumPy arrays travel out of band and the parent reads each one
-straight into a buffer of its exact size, which then backs the array, so a
-result takes its own size in the parent and no more.  The parent reads in
-its own thread, one whole result at a time, so its peak memory does not
-depend on how the workers' results interleave.  Forked workers keep the
-parent's BLAS thread count and each job runs whole in one process, so a
-pooled run returns the bytes a serial run returns.  The first failing job in
-job order raises the error a serial loop would; :func:`run_jobs` starts no
-job after it.
+indices over its own pipe.  Once every worker has forked, the parent may
+drop the state that the jobs' results will replace.  Only the results are
+pickled back, with pickle protocol 5: NumPy arrays travel out of band and
+the parent reads each one straight into a buffer of its exact size, which
+then backs the array, so a result takes its own size in the parent and no
+more.  The parent reads in its own thread, one whole result at a time, so
+its peak memory does not depend on how the workers' results interleave.
+Forked workers keep the parent's BLAS thread count and each job runs whole
+in one process, so a pooled run returns the bytes a serial run returns.  The
+first failing job in job order raises the error a serial loop would, and no
+job starts after it.
 """
 
 from __future__ import annotations
@@ -111,16 +106,19 @@ def _receive(fd: int) -> tuple[bool, object]:
     return pickle.loads(data, buffers=[_read_exact(fd, n) for n in lengths])
 
 
+def _outcome(job: Callable[[], object]) -> tuple[bool, object]:
+    try:
+        return True, job()
+    except Exception as exc:                # noqa: BLE001 - re-raised in the parent, in job order
+        return False, exc
+
+
 def _serve(jobs: Sequence[Callable[[], object]], tasks: int, results: int) -> None:
     """A worker's loop: run each job index read from ``tasks`` until EOF and
     send back ``(True, result)`` or ``(False, exception)``."""
     while raw := os.read(tasks, _INDEX.size):
         (i,) = _INDEX.unpack(raw)
-        try:
-            outcome = (True, jobs[i]())
-        except Exception as exc:            # noqa: BLE001 - re-raised in the parent
-            outcome = (False, exc)
-        _send(results, i, outcome)
+        _send(results, i, _outcome(jobs[i]))
 
 
 class _Worker:
@@ -171,8 +169,9 @@ def _collect(pool: list[_Worker], queue: list[int], outcomes: dict[int, tuple[bo
                     selector.unregister(w.results)
 
 
-def _pooled_workers(costs: Sequence[float], min_cost: float) -> int:
-    """Workers for jobs of these ``costs``; 1 means in-process."""
+def pooled_workers(costs: Sequence[float], min_cost: float) -> int:
+    """Workers :func:`run_jobs` uses for jobs of these ``costs`` with this
+    ``min_cost``; 1 means in-process."""
     n_workers = workers(len(costs))
     return n_workers if n_workers >= 2 and sum(costs) >= min_cost else 1
 
@@ -187,10 +186,17 @@ def _in_job_order(outcomes: dict[int, tuple[bool, object]], n_jobs: int) -> list
     return results
 
 
-def run_jobs(jobs: Sequence[Callable[[], T]], costs: Sequence[float], min_cost: float) -> list[T]:
+def run_jobs(
+    jobs: Sequence[Callable[[], T]],
+    costs: Sequence[float],
+    min_cost: float,
+    release: Callable[[int], None] | None = None,
+) -> list[T]:
     """``[job() for job in jobs]``, in forked workers when at least two are
-    available and the summed ``costs`` reach ``min_cost``."""
-    n_workers = _pooled_workers(costs, min_cost)
+    available and the summed ``costs`` reach ``min_cost``.  Pooled, once
+    every worker has forked, ``release(i)`` is called for every job, so the
+    caller can drop the state that the job's result will replace."""
+    n_workers = pooled_workers(costs, min_cost)
     if n_workers == 1:
         return [job() for job in jobs]
     # fork, not spawn: a spawned worker re-imports NumPy and SciPy (~0.4 s
@@ -201,6 +207,9 @@ def run_jobs(jobs: Sequence[Callable[[], T]], costs: Sequence[float], min_cost: 
     try:
         for _ in range(n_workers):
             pool.append(_Worker(jobs, [fd for w in pool for fd in (w.tasks, w.results)]))
+        if release is not None:
+            for i in range(len(jobs)):
+                release(i)
         _collect(pool, sorted(range(len(jobs)), key=lambda i: -costs[i]), outcomes)
     finally:
         for w in pool:
@@ -212,85 +221,3 @@ def run_jobs(jobs: Sequence[Callable[[], T]], costs: Sequence[float], min_cost: 
             os.waitpid(w.pid, 0)
     return _in_job_order(outcomes, len(jobs))
 
-
-def shares(costs: Sequence[float], min_cost: float) -> list[list[int]]:
-    """Job indices split into one share per worker, each in job order: jobs
-    go largest first to the least-loaded share.  One share of every job when
-    fewer than two workers are available or the summed ``costs`` stay below
-    ``min_cost``."""
-    n_shares = _pooled_workers(costs, min_cost)
-    split: list[list[int]] = [[] for _ in range(n_shares)]
-    loads = [0.0] * n_shares
-    for i in sorted(range(len(costs)), key=lambda i: -costs[i]):
-        s = loads.index(min(loads))
-        split[s].append(i)
-        loads[s] += costs[i]
-    return [sorted(share) for share in split]
-
-
-def _outcome(job: Callable[[], object]) -> tuple[bool, object]:
-    try:
-        return True, job()
-    except Exception as exc:                # noqa: BLE001 - re-raised in job order
-        return False, exc
-
-
-class _Child:
-    """A forked process that runs its share of the jobs, then sends each
-    outcome back in share order.  It sends nothing before its share is done,
-    so a full pipe never stalls it while the parent runs share 0."""
-
-    def __init__(self, jobs: Sequence[Callable[[], object]], share: list[int], inherited: list[int]):
-        self.share = share
-        self.results, results_w = os.pipe()
-        self.pid = os.fork()
-        if self.pid == 0:
-            code = 1
-            try:
-                for fd in (*inherited, self.results):
-                    os.close(fd)
-                outcomes = [_outcome(jobs[i]) for i in share]
-                for i, outcome in zip(share, outcomes):
-                    _send(results_w, i, outcome)
-                code = 0
-            finally:
-                os._exit(code)
-        os.close(results_w)
-
-
-def run_shares(
-    jobs: Sequence[Callable[[], T]],
-    split: list[list[int]],
-    release: Callable[[int], None] | None = None,
-) -> list[T]:
-    """``[job() for job in jobs]`` over the shares ``split`` (from
-    :func:`shares`): this process runs ``split[0]`` and one forked child runs
-    each other share.  Right after the forks, ``release(i)`` is called for
-    every job a child owns, so the caller can drop the state that the child's
-    result will replace.  Every job runs; the first failure in job order is
-    raised, and a child that dies raises ``RuntimeError`` naming its jobs."""
-    outcomes: dict[int, tuple[bool, object]] = {}
-    children: list[_Child] = []
-    try:
-        for share in split[1:]:
-            children.append(_Child(jobs, share, [c.results for c in children]))
-        if release is not None:
-            for child in children:
-                for i in child.share:
-                    release(i)
-        for i in split[0]:
-            outcomes[i] = _outcome(jobs[i])
-        for child in children:
-            for i in child.share:
-                try:
-                    outcomes[i] = _receive(child.results)
-                except EOFError:
-                    raise RuntimeError(f"pool child {child.pid} exited while running jobs {child.share}") from None
-    finally:
-        for child in children:
-            os.close(child.results)
-        for child in children:
-            if any(i not in outcomes for i in child.share):     # still running: the parent raised
-                os.kill(child.pid, signal.SIGKILL)
-            os.waitpid(child.pid, 0)
-    return _in_job_order(outcomes, len(jobs))

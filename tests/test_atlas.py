@@ -265,7 +265,7 @@ class TestTrainingPool:
         if threads == "1":
             assert pids == {os.getpid()}
         else:
-            assert os.getpid() in pids and len(pids) > 1
+            assert pids and os.getpid() not in pids
 
     def test_small_rounds_stay_in_process(self, monkeypatch, pool_pids):
         # the size of the benchmark's tracer self-check: 2-layer flows on 400

@@ -7,7 +7,7 @@ import scipy.linalg
 from scipy.sparse.csgraph import shortest_path
 from scipy.spatial.distance import squareform
 
-from atlasflow import geo, pool
+from atlasflow import geo
 from atlasflow.errors import ConnectivityError, NumericError
 
 
@@ -241,23 +241,3 @@ class TestIsomapCharts:
         monkeypatch.setenv("ATLASFLOW_THREADS", "2")
         geo.isomap_charts(_circle_charts([50, 60]), 10, 1)
         assert pool_pids()["isomap"] == {os.getpid()}
-
-    @pytest.mark.parametrize("cpus, env, n_charts, workers", [
-        (2, {}, 4, 1),
-        (2, {"OPENBLAS_NUM_THREADS": "1"}, 4, 2),
-        (2, {"OMP_NUM_THREADS": "1"}, 4, 2),
-        (4, {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 4, 2),
-        (4, {"OPENBLAS_NUM_THREADS": "x", "OMP_NUM_THREADS": "2"}, 4, 2),
-        (2, {"OPENBLAS_NUM_THREADS": "8"}, 4, 1),
-        (2, {"OPENBLAS_NUM_THREADS": "1", "ATLASFLOW_THREADS": "1"}, 4, 1),
-        (8, {"OPENBLAS_NUM_THREADS": "1", "ATLASFLOW_THREADS": "3"}, 4, 3),
-        (8, {"OPENBLAS_NUM_THREADS": "1"}, 3, 3),
-    ], ids=["blas-unset", "openblas-1", "omp-1", "openblas-before-omp", "malformed-openblas-ignored",
-            "blas-capped-at-cpus", "threads-1", "threads-cap", "chart-cap"])
-    def test_worker_count_rule(self, monkeypatch, cpus, env, n_charts, workers):
-        monkeypatch.setattr(pool.env, "usable_cpus", lambda: cpus)
-        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "ATLASFLOW_THREADS"):
-            monkeypatch.delenv(var, raising=False)
-        for var, value in env.items():
-            monkeypatch.setenv(var, value)
-        assert pool.workers(n_charts) == workers

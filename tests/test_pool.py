@@ -24,8 +24,8 @@ def _unpicklable():
     return lambda: None
 
 
-def _pid():
-    return os.getpid()
+def _entry(state: dict, k: int):
+    return state[k], os.getpid()
 
 
 @pytest.fixture
@@ -34,6 +34,28 @@ def two_workers(monkeypatch, pool_pids):
     pins BLAS to one thread)."""
     monkeypatch.setenv("ATLASFLOW_THREADS", "2")
     assert pool.workers(4) == 2
+
+
+class TestWorkers:
+    @pytest.mark.parametrize("cpus, env, n_charts, workers", [
+        (2, {}, 4, 1),
+        (2, {"OPENBLAS_NUM_THREADS": "1"}, 4, 2),
+        (2, {"OMP_NUM_THREADS": "1"}, 4, 2),
+        (4, {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 4, 2),
+        (4, {"OPENBLAS_NUM_THREADS": "x", "OMP_NUM_THREADS": "2"}, 4, 2),
+        (2, {"OPENBLAS_NUM_THREADS": "8"}, 4, 1),
+        (2, {"OPENBLAS_NUM_THREADS": "1", "ATLASFLOW_THREADS": "1"}, 4, 1),
+        (8, {"OPENBLAS_NUM_THREADS": "1", "ATLASFLOW_THREADS": "3"}, 4, 3),
+        (8, {"OPENBLAS_NUM_THREADS": "1"}, 3, 3),
+    ], ids=["blas-unset", "openblas-1", "omp-1", "openblas-before-omp", "malformed-openblas-ignored",
+            "blas-capped-at-cpus", "threads-1", "threads-cap", "chart-cap"])
+    def test_worker_count_rule(self, monkeypatch, cpus, env, n_charts, workers):
+        monkeypatch.setattr(pool.env, "usable_cpus", lambda: cpus)
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "ATLASFLOW_THREADS"):
+            monkeypatch.delenv(var, raising=False)
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
+        assert pool.workers(n_charts) == workers
 
 
 class TestRunJobs:
@@ -78,45 +100,24 @@ class TestRunJobs:
         assert pid == os.getpid()
 
 
-class TestRunShares:
-    def test_shares_take_the_largest_job_first(self, two_workers):
-        # 5 (job 1) and 4 (job 3) open the shares, 3 joins the lighter one,
-        # then 2 and 1 the lighter or, on a tie, the first
-        assert pool.shares([1, 5, 2, 4, 3], 0) == [[0, 1, 2], [3, 4]]
-        assert pool.shares([1, 5, 2, 4, 3], 16) == [[0, 1, 2, 3, 4]]
-
-    def test_share_0_runs_in_the_parent(self, two_workers):
+    def test_release_follows_the_forks(self, two_workers):
+        # each job reads its entry of a dict that release deletes: a pooled
+        # result that still carries its entry ran in a worker forked first
+        state = {k: k for k in range(4)}
         released = []
-        pids = pool.run_shares([_pid] * 5, [[0, 2], [1, 3, 4]], release=released.append)
-        assert pids[0] == pids[2] == os.getpid()
-        assert pids[1] == pids[3] == pids[4] != os.getpid()
-        assert released == [1, 3, 4]
 
-    def test_results_in_job_order(self, two_workers):
-        jobs = [partial(_array, 30 + k, k) for k in range(5)]
-        pooled = pool.run_shares(jobs, [[1, 4], [0, 2, 3]])
-        for k, (a, _) in enumerate(pooled):
-            assert a.shape == (30 + k, 30 + k) and np.all(a == k)
-            a += 1.0                            # results are writable arrays
+        def release(i):
+            released.append(i)
+            del state[i]
 
-    def test_a_result_costs_its_own_size_in_the_parent(self, two_workers):
-        tracemalloc.start()
-        try:
-            pooled = pool.run_shares([partial(_array, 5, 0)] + [partial(_array, 1000, k) for k in (1, 2)],
-                                     [[0], [1, 2]])
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert [pid == os.getpid() for _, pid in pooled] == [True, False, False]
-        size = sum(a.nbytes for a, _ in pooled)
-        assert size <= peak < 1.1 * size
-
-    def test_first_failure_in_job_order_raises(self, two_workers):
-        # the parent's job 2 fails first in time; the child's job 1 is raised
-        jobs = [partial(_array, 5, 0), partial(_fail, "job 1"), partial(_fail, "job 2")]
-        with pytest.raises(ValueError, match="job 1"):
-            pool.run_shares(jobs, [[0, 2], [1]])
-
-    def test_dead_child_raises_naming_its_jobs(self, two_workers):
-        with pytest.raises(RuntimeError, match=r"exited while running jobs \[1, 2\]"):
-            pool.run_shares([partial(_array, 5, 0), partial(_array, 5, 1), _die], [[0], [1, 2]])
+        jobs = [partial(_entry, state, k) for k in range(4)]
+        pooled = pool.run_jobs(jobs, [1, 2, 3, 4], 0, release=release)
+        assert sorted(released) == [0, 1, 2, 3]
+        assert [value for value, _ in pooled] == [0, 1, 2, 3]
+        assert all(pid != os.getpid() for _, pid in pooled)
+        # below the threshold the jobs run in-process and nothing is released
+        state = {k: k for k in range(4)}
+        released.clear()
+        jobs = [partial(_entry, state, k) for k in range(4)]
+        assert pool.run_jobs(jobs, [1, 2, 3, 4], 11, release=release) == [(k, os.getpid()) for k in range(4)]
+        assert released == []
