@@ -10,18 +10,20 @@ annealed learning rate (restarted per phase), and global-norm clipping apply
 to every update.
 
 :func:`train` runs the schedule in rounds: round 1 holds phases 1-3 whole,
-then phase 4 runs in windows of ``c_s`` epochs, with the expected points
-refreshed from every chart's ``phi`` before each, and the last window also
-runs phase 5 (with no phase-4 epochs, round 1 runs everything).  One helper
-runs a chart's epoch of any phase.  Charts meet only in the expected points,
-and each chart owns its RNG streams, flows and optimiser states, so within a
-round any order of the charts draws the same numbers.  With one worker a
-round loops over its phases, their epochs, then the charts, in-process.
-Above ``POOL_MIN_ROW_LAYERS`` it runs one job per chart through
-:func:`pool.run_jobs`: forked workers train the charts, largest first, while
-this process waits, and each worker sends back the flows, optimiser states,
-RNGs and latents it changed.  Either way log rows arrive in (phase, epoch,
-chart) order and a failure raises what the serial loop would.
+then phase 4 runs in windows of ``c_s`` epochs, and the last window also runs
+phase 5 (with no phase-4 epochs, round 1 runs everything).  Each round but the
+last ends with every chart's reconstruction of its members, and the expected
+points of the next window are their average.  One helper runs a chart's
+epoch of any phase.  Charts meet only in the expected points, and each chart
+owns its RNG streams, flows and optimiser states, so within a round any order
+of the charts draws the same numbers.  With one worker, every chart's Isomap
+runs first and then each round loops over its phases, their epochs, then the
+charts, in-process.  Above ``POOL_MIN_ROW_LAYERS`` each chart lives for all
+of training in one worker of a :class:`pool.Pool`: its Isomap, geodesics,
+flows, optimiser states, RNGs and latents stay there, and each round sends
+back only the chart's log rows and reconstruction, the last round its flows.
+Either way log rows arrive in (phase, epoch, chart) order and a failure
+raises what the in-process loop would.
 
 Mixture weights over charts come from the disintegration of the data measure
 over the refined partition: c_k = sum of nu(cell)/n(cell) over the cells
@@ -70,15 +72,17 @@ from .nnopt import AdamState, LrSchedule, adam_step, clip_global_norm, init_adam
 from .synth import PointCloud
 
 CHECKPOINT_FORMAT_VERSION = 2
-# Summed rows x flow layers of one round of per-chart jobs below which
-# sample, log_density and a training round run in-process.  On a 2-vCPU
-# x86-64 VM at one BLAS thread, a fork-pool round trip costs ~15 ms and a row
-# through one 13-layer torus-preset flow layer ~2.7 us after a ~26 ms
-# per-call floor, so two workers break even near 3,000 row-layers for
-# inference (600 samples: 82 ms serial, 75 ms pooled).  A training round
-# counts member rows x its epochs x (phi + gamma layers); on two charts it
-# broke even between 9,400 and 18,700 (81 against 116 ms, 199 against 129 ms)
-# at the torus preset, and between 11,500 and 17,300 at 2 layers of 8 units.
+# Summed rows x flow layers of per-chart jobs below which sample, log_density
+# and a whole training run stay in-process.  On a 2-vCPU x86-64 VM at one BLAS
+# thread, a fork-pool round trip costs ~15 ms and a row through one 13-layer
+# torus-preset flow layer ~2.7 us after a ~26 ms per-call floor, so two
+# workers break even near 3,000 row-layers for inference (600 samples: 82 ms
+# serial, 75 ms pooled).  Training counts member rows x all the schedule's
+# epochs x (phi + gamma layers), and forks once per run.  On two charts it
+# broke even between 7,800 and 13,000 (220 against 264 ms, 237 against
+# 187 ms) at the torus preset with epochs 1/1/0/1/1, and between 16,000 and
+# 24,000 (204 against 250 ms, 300 against 227 ms) at 2 layers of 8 units with
+# epochs 2/1/1/3/1.
 POOL_MIN_ROW_LAYERS = 20_000
 # annotation of a scalar TrainConfig field -> (accepted type, what to call it)
 _NUMERIC_TYPES = {"int": (numbers.Integral, "an integer"), "float": (numbers.Real, "a number")}
@@ -275,8 +279,8 @@ class _ChartState:
     x: np.ndarray                      # member coordinates
     init_rng: np.random.Generator      # initialises phi, then gamma
     rng: np.random.Generator           # batch shuffles and bootstraps
-    phi: fl.FlowStack
-    opt_phi: AdamState
+    phi: fl.FlowStack | None = None    # built by _start_chart
+    opt_phi: AdamState | None = None
     embedding: np.ndarray | None = None
     geodesics: np.ndarray | None = None  # condensed, as geo.isomap returns them
     gamma: fl.FlowStack | None = None  # built as phase 2 starts
@@ -303,6 +307,19 @@ def _check_finite(value: float, phase: int, epoch: int, chart: int) -> None:
 
 def _init_adam(flow_obj: fl.FlowStack, cfg: TrainConfig) -> AdamState:
     return init_adam(flow_obj.parameters(), cfg.beta1, cfg.beta2, cfg.adam_eps, cfg.weight_decay)
+
+
+def _start_chart(st: _ChartState, embed: bool, cfg: TrainConfig) -> None:
+    """Step (0, 0, chart): the chart's Isomap when ``embed``, then its ``phi``,
+    whose spline bound covers the members and their embedding, and the
+    optimiser state."""
+    if embed:
+        st.embedding, st.geodesics = geo.isomap(st.x, cfg.isomap_k, cfg.latent_dim)
+    bound = max(fl.DEFAULT_BOUND, 1.1 * float(np.abs(st.x).max()))
+    if st.embedding is not None:
+        bound = max(bound, 1.2 * float(np.abs(st.embedding).max()))
+    st.phi = fl.make_flow(st.x.shape[1], cfg.n_layers, st.init_rng, n_bins=cfg.n_bins, bound=bound, hidden=cfg.hidden)
+    st.opt_phi = _init_adam(st.phi, cfg)
 
 
 def _frozen_latents(st: _ChartState, n_points: int, n: int) -> np.ndarray:
@@ -413,11 +430,6 @@ def _chart_epoch(st: _ChartState, phase, epoch, lr, xhat, cover, x_all, cfg) -> 
     return means if phase == 1 else {"lambda_t": lam, **means}
 
 
-# the fields of a _ChartState that training changes: what a forked round
-# sends back, and what the parent drops while a worker trains the chart
-_TRAINED = ("init_rng", "rng", "phi", "opt_phi", "gamma", "opt_gamma", "latents")
-
-
 def _rounds(cfg: TrainConfig) -> list[list[tuple[int, int, int, int]]]:
     """The schedule as rounds of ``(phase, n_epochs, first, last)`` segments,
     each running epochs ``first..last`` of a phase of ``n_epochs`` epochs; a
@@ -451,67 +463,88 @@ def _chart_step(st: _ChartState, phase, n_epochs, epoch, xhat, cover, x_all, cfg
     return row
 
 
-def _chart_round(st: _ChartState, segments, xhat, cover, x_all, cfg):
-    """One chart's whole round: ``(rows, trained fields, failure)``, where
-    ``failure`` is None or ``((phase, epoch, chart), exception)`` for the
-    step that raised; a phase's start counts as its epoch 0."""
+def _round_output(st: _ChartState, segments, cfg: TrainConfig):
+    """What a chart's round hands on: after the last round its flows, else its
+    reconstruction of its members, from which the next phase-4 window's
+    expected points are averaged."""
+    if segments[-1][0] == 5:
+        return st.phi, st.gamma
+    return fl.reconstruct(st.phi, cfg.latent_dim, st.x)
+
+
+def _chart_steps(st: _ChartState, embed, cover, x_all, cfg, segments, xhat):
+    """A chart's round as ``((phase, epoch, chart), step)`` pairs, in order:
+    ``step()`` runs the step and returns its log row, or None for step
+    (0, 0, chart), the chart's start, and for a phase's start, its epoch 0."""
+    if st.phi is None:
+        yield (0, 0, st.chart_id), partial(_start_chart, st, embed, cfg)
+    for phase, n_epochs, first, last in segments:
+        if first == 1:
+            yield (phase, 0, st.chart_id), partial(_begin_phase, st, phase, n_epochs, cfg, x_all.shape[0])
+        for j in range(first, last + 1):
+            yield (phase, j, st.chart_id), partial(_chart_step, st, phase, n_epochs, j, xhat, cover, x_all, cfg)
+
+
+def _round_in_process(states, embed, cover, x_all, cfg, log_rows, segments, xhat) -> list:
+    """One round over every chart in this process, step by step, each step
+    over the charts in chart order, so every chart starts (with its Isomap)
+    before any trains and each row is appended as its step finishes.
+    Returns each chart's :func:`_round_output`."""
+    for steps in zip(*(_chart_steps(st, embed, cover, x_all, cfg, segments, xhat) for st in states)):
+        for _, step in steps:
+            row = step()
+            if row is not None and log_rows is not None:
+                log_rows.append(row)
+    return [_round_output(st, segments, cfg) for st in states]
+
+
+def _chart_job(st: _ChartState, embed, cover, x_all, cfg, segments, xhat):
+    """A chart's round in its pool worker, which keeps ``st`` from round to
+    round.  Returns ``(rows, failure, output)``: ``failure`` is None or
+    ``((phase, epoch, chart), exception)`` for the step that raised, and
+    ``output`` the chart's :func:`_round_output`, or None after a failure."""
     rows = []
-    try:
-        for phase, n_epochs, first, last in segments:
-            key = (phase, 0, st.chart_id)
-            if first == 1:
-                _begin_phase(st, phase, n_epochs, cfg, x_all.shape[0])
-            for j in range(first, last + 1):
-                key = (phase, j, st.chart_id)
-                rows.append(_chart_step(st, phase, n_epochs, j, xhat, cover, x_all, cfg))
-        failure = None
-    except Exception as exc:                # noqa: BLE001 - raised after the round, in step order
-        failure = (key, exc)
-    return rows, tuple(getattr(st, name) for name in _TRAINED), failure
+    for key, step in _chart_steps(st, embed, cover, x_all, cfg, segments, xhat):
+        try:
+            row = step()
+        except Exception as exc:            # noqa: BLE001 - raised after the round, in step order
+            return rows, (key, exc), None
+        if row is not None:
+            rows.append(row)
+    return rows, None, _round_output(st, segments, cfg)
 
 
-def _release(st: _ChartState) -> None:
-    for name in _TRAINED:
-        setattr(st, name, None)
-
-
-def _train_round(states: list[_ChartState], segments, xhat, cover, x_all, cfg, log_rows) -> None:
-    """Run one round over every chart.  In-process, the loop runs over the
-    segments, their epochs, then the charts, appending each row as its step
-    finishes.  Pooled (by the rule of :func:`pool.pooled_workers`), each
-    chart's round is one job of :func:`pool.run_jobs`; the parent drops
-    every chart's trained state until its worker sends it back, the rows are
-    appended in (phase, epoch, chart) order once the round is done, and of
+def _round_pooled(workers: pool.Pool, log_rows, segments, xhat) -> list:
+    """One round of every chart's :func:`_chart_job` in ``workers``.  The rows
+    are appended in (phase, epoch, chart) order once the round is done, and of
     the failures the one with the smallest (phase, epoch, chart) is raised
-    after the rows before it, as the serial loop would."""
-    n_epochs_in_round = sum(last - first + 1 for _, _, first, last in segments)
-    costs = [st.members.size * n_epochs_in_round * 2 * cfg.n_layers for st in states]
-    if pool.pooled_workers(costs, POOL_MIN_ROW_LAYERS) == 1:
-        for phase, n_epochs, first, last in segments:
-            if first == 1:
-                for st in states:
-                    _begin_phase(st, phase, n_epochs, cfg, x_all.shape[0])
-            for j in range(first, last + 1):
-                for st in states:
-                    row = _chart_step(st, phase, n_epochs, j, xhat, cover, x_all, cfg)
-                    if log_rows is not None:
-                        log_rows.append(row)
-        return
-    jobs = [partial(_chart_round, st, segments, xhat, cover, x_all, cfg) for st in states]
-    results = pool.run_jobs(jobs, costs, POOL_MIN_ROW_LAYERS, release=lambda k: _release(states[k]))
-    rows, failures = {}, []
-    for st, (chart_rows, trained, failure) in zip(states, results):
-        for name, value in zip(_TRAINED, trained):
-            setattr(st, name, value)
-        rows.update(((row["phase"], row["epoch"], st.chart_id), row) for row in chart_rows)
+    after the rows before it, as the in-process loop would."""
+    rows, failures, outputs = {}, [], []
+    for chart_rows, failure, output in workers.run(segments, xhat):
+        rows.update(((row["phase"], row["epoch"], row["chart"]), row) for row in chart_rows)
         if failure is not None:
             failures.append(failure)
+        outputs.append(output)
     stop, error = min(failures, key=lambda f: f[0], default=(None, None))
     if log_rows is not None:
         for key in sorted(k for k in rows if stop is None or k < stop):
             log_rows.append(rows[key])
     if error is not None:
         raise error
+    return outputs
+
+
+def _schedule(rounds, cover: ChartCover, run_round) -> list:
+    """Run ``rounds`` through ``run_round(segments, xhat)``, averaging the
+    expected points before each phase-4 window from the previous round's
+    reconstructions; returns the last round's outputs, every chart's flows."""
+    xhat: ExpectedPoints | None = None
+    for segments in rounds:
+        phase, _, first, _ = segments[0]
+        if phase == 4:
+            xhat = expected_points(outputs, cover, epoch=first)
+        outputs = run_round(segments, xhat)
+    return outputs
 
 
 def train(
@@ -522,13 +555,18 @@ def train(
 ) -> AtlasModel:
     """Run the five-phase schedule and return the trained atlas.
 
-    Every chart's Isomap runs first, through :func:`geo.isomap_charts`,
-    which may use worker processes.  Then the schedule runs in the rounds of
-    :func:`_rounds`, each through :func:`_train_round`, the expected points
-    being refreshed from every chart's ``phi`` before each phase-4 window.
-    ``log_rows``, when given, receives one dict per (phase, epoch, chart)
-    with epoch-averaged loss components, in (phase, epoch, chart) order,
-    through ``append`` only.
+    The schedule runs in the rounds of :func:`_rounds`, the expected points
+    being averaged from every chart's reconstruction of its members before
+    each phase-4 window.  When the whole schedule's member rows x epochs x
+    flow layers reach ``POOL_MIN_ROW_LAYERS`` (and two workers are free),
+    each chart lives in one :class:`pool.Pool` worker for all of training:
+    its Isomap, its flows and optimiser states never leave that worker, and
+    each round returns only its rows and reconstruction, and the last its
+    flows.  Otherwise every chart's Isomap runs first, then the rounds loop
+    in-process.  ``log_rows``, when given, receives one dict per (phase,
+    epoch, chart) with epoch-averaged loss components, in (phase, epoch,
+    chart) order, through ``append`` only; either way a failure raises what
+    the in-process loop would, after the rows before it.
     """
     x_all = points.points if isinstance(points, PointCloud) else np.asarray(points, dtype=float)
     n_points, dim = x_all.shape
@@ -540,34 +578,28 @@ def train(
     c = disintegration_weights(cover)
 
     seeds = np.random.SeedSequence(cfg.seed).spawn(2 * cover.n_charts)
-    chart_x = [x_all[members] for members in cover.charts]
-    if e1 > 0 or (e2 + e3 + e4) > 0:
-        isomaps = geo.isomap_charts(chart_x, cfg.isomap_k, n)
+    states = [
+        _ChartState(
+            chart_id=k, members=np.asarray(members, dtype=int), x=x_all[members],
+            init_rng=np.random.default_rng(seeds[2 * k]), rng=np.random.default_rng(seeds[2 * k + 1]),
+        )
+        for k, members in enumerate(cover.charts)
+    ]
+    embed = e1 > 0 or (e2 + e3 + e4) > 0
+    rounds = _rounds(cfg)
+    n_epochs = sum(last - first + 1 for segments in rounds for _, _, first, last in segments)
+    costs = [st.members.size * n_epochs * 2 * cfg.n_layers for st in states]
+    n_workers = pool.pooled_workers(costs, POOL_MIN_ROW_LAYERS)
+    if n_workers == 1:
+        flows = _schedule(rounds, cover, partial(_round_in_process, states, embed, cover, x_all, cfg, log_rows))
     else:
-        isomaps = [(None, None)] * cover.n_charts
-    states: list[_ChartState] = []
-    for k, (members, xk, (embedding, geodesics)) in enumerate(zip(cover.charts, chart_x, isomaps)):
-        init_rng = np.random.default_rng(seeds[2 * k])
-        phi_bound = max(fl.DEFAULT_BOUND, 1.1 * float(np.abs(xk).max()))
-        if embedding is not None:
-            phi_bound = max(phi_bound, 1.2 * float(np.abs(embedding).max()))
-        phi = fl.make_flow(dim, cfg.n_layers, init_rng, n_bins=cfg.n_bins, bound=phi_bound, hidden=cfg.hidden)
-        states.append(_ChartState(
-            chart_id=k, members=np.asarray(members, dtype=int), x=xk,
-            init_rng=init_rng, rng=np.random.default_rng(seeds[2 * k + 1]),
-            phi=phi, opt_phi=_init_adam(phi, cfg), embedding=embedding, geodesics=geodesics,
-        ))
-
-    xhat: ExpectedPoints | None = None
-    for segments in _rounds(cfg):
-        phase, _, first, _ = segments[0]
-        if phase == 4:
-            xhat = expected_points([st.phi for st in states], n, cover, x_all, epoch=first)
-        _train_round(states, segments, xhat, cover, x_all, cfg, log_rows)
+        jobs = [partial(_chart_job, st, embed, cover, x_all, cfg) for st in states]
+        with pool.Pool(jobs, costs, n_workers) as workers:
+            flows = _schedule(rounds, cover, partial(_round_pooled, workers, log_rows))
 
     charts = [
-        ChartModel(chart_id=st.chart_id, members=st.members, phi=st.phi, gamma=st.gamma, c_k=float(c[st.chart_id]))
-        for st in states
+        ChartModel(chart_id=st.chart_id, members=st.members, phi=phi, gamma=gamma, c_k=float(c[st.chart_id]))
+        for st, (phi, gamma) in zip(states, flows)
     ]
     return AtlasModel(dim=dim, latent_dim=n, charts=charts, cover=cover, config=cfg)
 

@@ -2,7 +2,7 @@
 
 ``ATLASFLOW_SEED`` is the default seed of ``synth``, ``sample`` and
 ``train``; ``ATLASFLOW_THREADS`` caps the threads of the neighbor search and
-the worker processes of :func:`pool.run_jobs`, the one runner of per-chart
+the worker processes of :class:`pool.Pool`, the one pool of per-chart
 Isomap, training, sampling and log-density.  A set value that is not an
 integer in range raises :class:`ConfigError` naming the variable, so a typo
 never falls back to a default silently.

@@ -12,16 +12,13 @@ full m x m matrix exists once, in :func:`geodesic_matrix`, which makes it
 symmetric in place; :func:`classical_mds` adds the one m x m buffer it
 squares, centres and hands to LAPACK.
 
-:func:`isomap_charts` runs one Isomap per chart.  When the charts hold at
-least ``POOL_MIN_PAIRS`` point pairs it hands them to :func:`pool.run_jobs`,
-the fork pool that also serves training, sampling and log-density, which
-may run them in worker processes, largest chart first.
+:func:`atlas.train` runs each chart's Isomap where it trains the chart,
+which may be a pool worker that keeps the geodesics for the whole schedule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 import scipy.linalg
@@ -29,16 +26,10 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import shortest_path
 from scipy.spatial import cKDTree
 
-from . import env, pool
+from . import env
 from .errors import ConnectivityError, NumericError
 
 DEFAULT_K = 10
-# Summed squared chart sizes below which the charts' Isomaps run in-process.
-# On a 2-vCPU x86-64 VM at one BLAS thread, a fork-pool round trip costs
-# ~30 ms and Isomap ~0.4 us per pair, so two workers break even near
-# 1.5e5 pairs; the margin covers uneven chart sizes and the pickled results
-# (half a float per pair, the condensed geodesics).
-POOL_MIN_PAIRS = 1_000_000
 
 
 @dataclass
@@ -178,9 +169,3 @@ def isomap(points: np.ndarray, k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     geodesics = _upper_triangle(d)
     return classical_mds(d, n), geodesics
 
-
-def isomap_charts(charts: list[np.ndarray], k: int, n: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """:func:`isomap` of every chart's points, in chart order; a chart's
-    failure raises the same error a serial loop would."""
-    jobs = [partial(isomap, points, k, n) for points in charts]
-    return pool.run_jobs(jobs, [len(points) ** 2 for points in charts], POOL_MIN_PAIRS)

@@ -20,10 +20,8 @@ from .flow import (
     FlowStack,
     add_grads,
     project,
-    stack_forward,
     stack_forward_cached,
     stack_forward_vjp,
-    stack_inverse,
     stack_inverse_cached,
     stack_inverse_vjp,
 )
@@ -143,19 +141,15 @@ def manifold_loss_parts(flow: FlowStack, n: int, batch: Batch, lam: float):
     return total, grads, {"recon": recon_val, "dist": dist_val}, Passes(z, fwd_caches, xr, inv_caches)
 
 
-def expected_points(
-    flows: list[FlowStack], n: int, cover: ChartCover, points: np.ndarray, epoch: int = 0
-) -> ExpectedPoints:
-    """Average of per-chart reconstructions for every covered point."""
-    if len(flows) != cover.n_charts:
-        raise ValueError("one flow per chart required")
-    points = np.asarray(points, dtype=float)
+def expected_points(reconstructions: list[np.ndarray], cover: ChartCover, epoch: int = 0) -> ExpectedPoints:
+    """Average of the charts' reconstructions for every covered point;
+    ``reconstructions[k]`` holds chart k's reconstruction of its members, in
+    member order."""
+    if len(reconstructions) != cover.n_charts:
+        raise ValueError("one reconstruction per chart required")
     cover.validate()
-    sums = np.zeros_like(points)
-    for flow, members in zip(flows, cover.charts):
-        xk = points[members]
-        z, _ = stack_forward(flow, xk)
-        xr, _ = stack_inverse(flow, project(z, n))
+    sums = np.zeros((cover.n_points, reconstructions[0].shape[1]))
+    for xr, members in zip(reconstructions, cover.charts):
         sums[members] += xr
     xhat = sums / cover.multiplicity[:, None]
     return ExpectedPoints(xhat=xhat, epoch=epoch)

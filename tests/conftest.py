@@ -3,7 +3,7 @@ from collections import defaultdict
 
 import pytest
 
-from atlasflow import atlas, geo
+from atlasflow import atlas, geo, pool
 from atlasflow import flow as fl
 
 
@@ -42,5 +42,29 @@ def pool_pids(monkeypatch, tmp_path):
             pids[kind].add(int(pid))
         log.unlink(missing_ok=True)
         return pids
+
+    return read
+
+
+@pytest.fixture
+def pool_bytes(monkeypatch):
+    """Reader of the bytes this process has read from pool workers since the
+    last read: every byte of every result passes through ``pool._read_exact``."""
+    parent = os.getpid()
+    count = 0
+    read_exact = pool._read_exact
+
+    def counting(fd, n):
+        nonlocal count
+        if os.getpid() == parent:           # workers read their tasks with it too
+            count += n
+        return read_exact(fd, n)
+
+    monkeypatch.setattr(pool, "_read_exact", counting)
+
+    def read() -> int:
+        nonlocal count
+        value, count = count, 0
+        return value
 
     return read

@@ -10,7 +10,7 @@ import pytest
 from atlasflow import atlas
 from atlasflow import flow as fl
 from atlasflow.cover import ChartCover, MapperConfig
-from atlasflow.errors import CheckpointError, CoverError, DivergenceError
+from atlasflow.errors import CheckpointError, CoverError, DivergenceError, NumericError
 from atlasflow.synth import PointCloud
 
 # trained by the format_version 1 writer, which stored parameters as decimal lists
@@ -261,11 +261,13 @@ class TestTrainingPool:
         atlas.save(model, path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == checkpoint_sha
         assert hashlib.sha256(json.dumps(sink.rows).encode()).hexdigest() == rows_sha
-        pids = pool_pids()["train"]
+        # each chart's Isomap runs in the process that trains the chart
+        pids = pool_pids()
+        assert pids["isomap"] == pids["train"]
         if threads == "1":
-            assert pids == {os.getpid()}
+            assert pids["train"] == {os.getpid()}
         else:
-            assert pids and os.getpid() not in pids
+            assert pids["train"] and os.getpid() not in pids["train"]
 
     def test_small_rounds_stay_in_process(self, monkeypatch, pool_pids):
         # the size of the benchmark's tracer self-check: 2-layer flows on 400
@@ -293,6 +295,39 @@ class TestTrainingPool:
         assert [_row_key(r) for r in runs["2"][1]] == [(1, 1, 0), (1, 1, 1), (1, 2, 0)]
         assert runs["1"][1] == runs["2"][1]
         assert len(runs["2"][2]) > 1
+
+    def test_parent_reads_less_than_the_geodesics(self, monkeypatch, pool_pids, pool_bytes):
+        # every chart's geodesics, flows, optimiser states and latents stay in
+        # its worker: the parent gets rows, reconstructions and the last flows
+        monkeypatch.setattr(atlas, "POOL_MIN_ROW_LAYERS", 0)
+        monkeypatch.setenv("ATLASFLOW_THREADS", "2")
+        make, _, _ = _PINNED_RUNS["plane-five-phases"]
+        cloud, cover, cfg = make()
+        atlas.train(cloud, cover, cfg)
+        assert len(pool_pids()["train"]) == 2
+        geodesics = sum(8 * (len(c) * (len(c) - 1) // 2) for c in cover.charts)
+        assert 0 < pool_bytes() < geodesics
+
+    def test_isomap_failure_comes_before_every_step(self, monkeypatch, pool_pids):
+        # chart 1 is a line, which has no 2-D embedding; chart 0 diverges in
+        # phase 1, which its worker reaches before the parent hears of chart 1
+        _diverging(monkeypatch, {(1, 1, 0)})
+        monkeypatch.setattr(atlas, "POOL_MIN_ROW_LAYERS", 0)
+        line = np.outer(np.linspace(0.0, 4.0, 60), [1.0, 2.0, -1.0])
+        cloud = PointCloud(points=np.vstack([_plane_cloud(n=200, seed=2).points, line]))
+        cover = ChartCover(n_points=260, charts=[np.arange(200), np.arange(200, 260)])
+        runs = {}
+        for threads in ("1", "2"):
+            monkeypatch.setenv("ATLASFLOW_THREADS", threads)
+            rows = []
+            with pytest.raises(NumericError) as info:
+                atlas.train(cloud, cover, _tiny_config(epochs=(2, 2, 2, 2, 2)), log_rows=rows)
+            runs[threads] = (str(info.value), rows, pool_pids())
+        assert runs["1"][:2] == runs["2"][:2]
+        assert runs["1"][0].startswith("top-2 eigenvalue not positive") and runs["1"][1] == []
+        assert runs["1"][2]["isomap"] == {os.getpid()}
+        assert len(runs["2"][2]["isomap"]) == 2 and os.getpid() not in runs["2"][2]["isomap"]
+        assert runs["2"][2]["train"] <= runs["2"][2]["isomap"]
 
 
 class TestSampling:

@@ -12,7 +12,7 @@ import pytest
 from atlasflow import atlas, cli
 from atlasflow import cover as cov
 from atlasflow import flow as fl
-from atlasflow import geo, synth
+from atlasflow import synth
 
 
 def _run(argv):
@@ -297,7 +297,7 @@ class TestTrainCommand:
         assert f"${var}={value!r}" in capsys.readouterr().err
 
     def test_isomap_pool_writes_serial_bytes(self, torus_csv, cover_json, tmp_path, monkeypatch, pool_pids):
-        monkeypatch.setattr(geo, "POOL_MIN_PAIRS", 0)
+        monkeypatch.setattr(atlas, "POOL_MIN_ROW_LAYERS", 0)
         outputs = {}
         for threads in ("1", "2"):
             monkeypatch.setenv("ATLASFLOW_THREADS", threads)
@@ -533,7 +533,7 @@ class TestNumericExits:
     ])
     def test_typed_exit_from_isomap_pool(self, tmp_path, monkeypatch, capsys, pool_pids, points, code, detail):
         argv = _train_on(points)(tmp_path, monkeypatch, None, None)
-        monkeypatch.setattr(geo, "POOL_MIN_PAIRS", 0)
+        monkeypatch.setattr(atlas, "POOL_MIN_ROW_LAYERS", 0)
         monkeypatch.setenv("ATLASFLOW_THREADS", "2")
         capsys.readouterr()
         assert _run(argv) == code

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -118,6 +119,31 @@ class TestSingleLinkage:
         pts = np.array([[5.0, 5.0], [0.0, 0.0], [5.0, 5.0], [0.0, 0.0], [9.0, 9.0]])
         clusters = cov.single_linkage(pts, 0.1)
         assert [c.tolist() for c in clusters] == [[0, 2], [1, 3], [4]]
+
+    @pytest.mark.parametrize("budget", [1, 40, 1 << 17])
+    def test_blocks_match_union_find_oracle(self, monkeypatch, budget):
+        # a budget of 1 cuts a block per point and folds the forest after each
+        monkeypatch.setattr(cov, "_LINKAGE_PAIRS", budget)
+        rng = np.random.default_rng(6)
+        clouds = [(rng.uniform(0, 3, size=(160, 2)), rng.uniform(0.1, 0.5)) for _ in range(3)]
+        # a grid whose neighbours sit exactly at the threshold
+        clouds.append((0.5 * rng.integers(0, 8, size=(120, 3)).astype(float), 0.5))
+        for pts, thr in clouds:
+            assert [c.tolist() for c in cov.single_linkage(pts, thr)] == _brute_force_components(pts, thr)
+
+    def test_memory_is_bounded_by_the_pair_budget(self, monkeypatch):
+        # 2,000 points in a unit cube hold 1.8 M pairs within distance 1: 29 MB
+        # as an int64 pair list, which the whole-list search traced twice over
+        monkeypatch.setattr(cov, "_LINKAGE_PAIRS", 1 << 14)
+        pts = np.random.default_rng(0).uniform(0, 1, size=(2000, 3))
+        tracemalloc.start()
+        try:
+            clusters = cov.single_linkage(pts, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(clusters) == 1
+        assert peak < 200 * cov._LINKAGE_PAIRS
 
     def test_pair_at_exact_threshold_links(self):
         # 0.5 is exact in binary, so the distance equals the threshold exactly

@@ -1,4 +1,3 @@
-import os
 import tracemalloc
 
 import numpy as np
@@ -220,24 +219,3 @@ def _circle_charts(sizes, seed=0):
         t = rng.uniform(0.0, 2.0 * np.pi, m)
         charts.append(np.column_stack([np.cos(t), np.sin(t), 0.05 * rng.normal(size=m)]))
     return charts
-
-
-class TestIsomapCharts:
-    def test_pool_matches_serial_bit_for_bit(self, monkeypatch, pool_pids):
-        charts = _circle_charts([520, 700, 610])
-        assert sum(len(c) ** 2 for c in charts) >= geo.POOL_MIN_PAIRS
-        runs = {}
-        for threads in ("1", "2"):
-            monkeypatch.setenv("ATLASFLOW_THREADS", threads)
-            runs[threads] = (geo.isomap_charts(charts, 10, 1), pool_pids()["isomap"])
-        (serial, serial_pids), (pooled, pooled_pids) = runs["1"], runs["2"]
-        assert serial_pids == {os.getpid()}
-        assert pooled_pids and os.getpid() not in pooled_pids
-        for (emb_s, d_s), (emb_p, d_p) in zip(serial, pooled, strict=True):
-            assert emb_s.tobytes() == emb_p.tobytes()
-            assert d_s.tobytes() == d_p.tobytes()
-
-    def test_small_charts_stay_in_process(self, monkeypatch, pool_pids):
-        monkeypatch.setenv("ATLASFLOW_THREADS", "2")
-        geo.isomap_charts(_circle_charts([50, 60]), 10, 1)
-        assert pool_pids()["isomap"] == {os.getpid()}

@@ -174,7 +174,7 @@ class TestExpectedPoints:
         f = _perturbed_flow(3, seed=11)
         pts = np.random.default_rng(12).normal(size=(10, 3))
         cover = ChartCover(n_points=10, charts=[np.arange(10)])
-        ep = lo.expected_points([f], 2, cover, pts, epoch=3)
+        ep = lo.expected_points([fl.reconstruct(f, 2, pts)], cover, epoch=3)
         np.testing.assert_allclose(ep.xhat, fl.reconstruct(f, 2, pts), atol=1e-12)
         assert ep.epoch == 3
 
@@ -183,7 +183,7 @@ class TestExpectedPoints:
         fb = _perturbed_flow(3, seed=14)
         pts = np.random.default_rng(15).normal(size=(8, 3))
         cover = ChartCover(n_points=8, charts=[np.arange(8), np.arange(8)])
-        ep = lo.expected_points([fa, fb], 2, cover, pts)
+        ep = lo.expected_points([fl.reconstruct(fa, 2, pts), fl.reconstruct(fb, 2, pts)], cover)
         expected = 0.5 * (fl.reconstruct(fa, 2, pts) + fl.reconstruct(fb, 2, pts))
         np.testing.assert_allclose(ep.xhat, expected, atol=1e-12)
 
@@ -191,7 +191,7 @@ class TestExpectedPoints:
         f = _perturbed_flow(3, seed=16)
         pts = np.random.default_rng(17).normal(size=(6, 3))
         cover = ChartCover(n_points=6, charts=[np.arange(6), np.arange(6), np.arange(6)])
-        ep = lo.expected_points([f, f, f], 2, cover, pts)
+        ep = lo.expected_points([fl.reconstruct(f, 2, pts)] * 3, cover)
         np.testing.assert_allclose(ep.xhat, fl.reconstruct(f, 2, pts), atol=1e-12)
 
 

@@ -24,10 +24,6 @@ def _unpicklable():
     return lambda: None
 
 
-def _entry(state: dict, k: int):
-    return state[k], os.getpid()
-
-
 @pytest.fixture
 def two_workers(monkeypatch, pool_pids):
     """The fork pool with two workers (``pool_pids`` skips below 2 CPUs and
@@ -100,24 +96,36 @@ class TestRunJobs:
         assert pid == os.getpid()
 
 
-    def test_release_follows_the_forks(self, two_workers):
-        # each job reads its entry of a dict that release deletes: a pooled
-        # result that still carries its entry ran in a worker forked first
-        state = {k: k for k in range(4)}
-        released = []
+def _count_calls(calls: dict, k: int):
+    calls[k] = calls.get(k, 0) + 1
+    return k, calls[k], os.getpid()
 
-        def release(i):
-            released.append(i)
-            del state[i]
 
-        jobs = [partial(_entry, state, k) for k in range(4)]
-        pooled = pool.run_jobs(jobs, [1, 2, 3, 4], 0, release=release)
-        assert sorted(released) == [0, 1, 2, 3]
-        assert [value for value, _ in pooled] == [0, 1, 2, 3]
-        assert all(pid != os.getpid() for _, pid in pooled)
-        # below the threshold the jobs run in-process and nothing is released
-        state = {k: k for k in range(4)}
-        released.clear()
-        jobs = [partial(_entry, state, k) for k in range(4)]
-        assert pool.run_jobs(jobs, [1, 2, 3, 4], 11, release=release) == [(k, os.getpid()) for k in range(4)]
-        assert released == []
+def _die_on_second_call(calls: dict, k: int):
+    calls[k] = calls.get(k, 0) + 1
+    if k == 1 and calls[k] == 2:
+        os._exit(3)
+    return os.getpid()
+
+
+class TestPool:
+    def test_later_rounds_return_to_the_first_worker(self, two_workers):
+        # each worker counts the calls of its jobs in its own copy of calls:
+        # a job's count reaches 3 only if all three rounds ran in one worker
+        calls = {}
+        jobs = [partial(_count_calls, calls, k) for k in range(4)]
+        with pool.Pool(jobs, [1, 4, 2, 3], 2) as workers:
+            rounds = [workers.run() for _ in range(3)]
+        assert calls == {}
+        for r, results in enumerate(rounds, start=1):
+            assert [(k, n) for k, n, _ in results] == [(k, r) for k in range(4)]
+            assert [pid for _, _, pid in results] == [pid for _, _, pid in rounds[0]]
+        pids = {pid for _, _, pid in rounds[0]}
+        assert len(pids) == 2 and os.getpid() not in pids
+
+    def test_worker_killed_in_a_later_round_raises(self, two_workers):
+        jobs = [partial(_die_on_second_call, {}, k) for k in range(2)]
+        with pool.Pool(jobs, [1, 2], 2) as workers:
+            first = workers.run()
+            with pytest.raises(RuntimeError, match=f"pool worker {first[1]} exited while running job 1"):
+                workers.run()
