@@ -1,4 +1,6 @@
+import os
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -6,7 +8,7 @@ import scipy.linalg
 from scipy.sparse.csgraph import shortest_path
 from scipy.spatial.distance import squareform
 
-from atlasflow import geo
+from atlasflow import geo, pool
 from atlasflow.errors import ConnectivityError, NumericError
 
 
@@ -195,6 +197,25 @@ class TestIsomap:
             tracemalloc.stop()
         assert condensed.nbytes == 8 * (m * (m - 1) // 2) < 0.5 * square
         assert peak < 3 * square
+
+
+class TestIsomapCharts:
+    def test_pool_matches_serial_bit_for_bit(self, monkeypatch, pool_pids):
+        # train runs each chart's Isomap in the pool worker that trains the
+        # chart; its embedding and geodesics must not depend on the process
+        charts = _circle_charts([520, 700, 610])
+        jobs = [partial(geo.isomap, c, 10, 1) for c in charts]
+        costs = [len(c) ** 2 for c in charts]
+        runs = {}
+        for threads in ("1", "2"):
+            monkeypatch.setenv("ATLASFLOW_THREADS", threads)
+            runs[threads] = (pool.run_jobs(jobs, costs, 0), pool_pids()["isomap"])
+        (serial, serial_pids), (pooled, pooled_pids) = runs["1"], runs["2"]
+        assert serial_pids == {os.getpid()}
+        assert pooled_pids and os.getpid() not in pooled_pids
+        for (emb_s, d_s), (emb_p, d_p) in zip(serial, pooled, strict=True):
+            assert emb_s.tobytes() == emb_p.tobytes()
+            assert d_s.tobytes() == d_p.tobytes()
 
 
 class TestCondensedBlock:
