@@ -488,13 +488,17 @@ def _chart_steps(st: _ChartState, embed, cover, x_all, cfg, segments, xhat):
 def _round_in_process(states, embed, cover, x_all, cfg, log_rows, segments, xhat) -> list:
     """One round over every chart in this process, step by step, each step
     over the charts in chart order, so every chart starts (with its Isomap)
-    before any trains and each row is appended as its step finishes.
-    Returns each chart's :func:`_round_output`."""
+    before any trains and each row is appended as its step finishes.  The
+    heap is trimmed after each chart's start, whose Isomap frees two m x m
+    arrays, as a pool worker trims after each job.  Returns each chart's
+    :func:`_round_output`."""
     for steps in zip(*(_chart_steps(st, embed, cover, x_all, cfg, segments, xhat) for st in states)):
-        for _, step in steps:
+        for (phase, _, _), step in steps:
             row = step()
             if row is not None and log_rows is not None:
                 log_rows.append(row)
+            if phase == 0:
+                pool.trim_heap()
     return [_round_output(st, segments, cfg) for st in states]
 
 
@@ -601,6 +605,10 @@ def train(
         ChartModel(chart_id=st.chart_id, members=st.members, phi=phi, gamma=gamma, c_k=float(c[st.chart_id]))
         for st, (phi, gamma) in zip(states, flows)
     ]
+    # in-process, the states hold every chart's geodesics and optimiser state,
+    # whose freed pages the heap would otherwise keep after train returns
+    states.clear()
+    pool.trim_heap()
     return AtlasModel(dim=dim, latent_dim=n, charts=charts, cover=cover, config=cfg)
 
 
@@ -780,28 +788,29 @@ def save(model: AtlasModel, path) -> None:
 
     Float parameter arrays are ``{"shape": [...], "f8": <base64>}`` blocks of
     little-endian float64 bytes, so they round-trip bit for bit; the cover,
-    config and index lists are plain JSON.
+    config and index lists are plain JSON.  The charts are encoded and
+    written one at a time, so only one chart's text is held at once; the
+    bytes are those of ``json.dumps`` of the whole object.
     """
-    cfg = asdict(model.config)
-    payload = {
+    head = json.dumps({
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "dim": model.dim,
         "latent_dim": model.latent_dim,
-        "config": cfg,
+        "config": asdict(model.config),
         "cover": cover_to_dict(model.cover),
-        "charts": [
-            {
+    })
+    with open(path, "w") as fh:
+        fh.write(head[:-1] + ', "charts": [')
+        for i, cm in enumerate(model.charts):
+            chart = {
                 "chart_id": cm.chart_id,
                 "members": cm.members.tolist(),
                 "c_k": cm.c_k,
                 "phi": _flow_to_dict(cm.phi),
                 "gamma": _flow_to_dict(cm.gamma),
             }
-            for cm in model.charts
-        ],
-    }
-    with open(path, "w") as fh:
-        fh.write(json.dumps(payload))
+            fh.write((", " if i else "") + json.dumps(chart))
+        fh.write("]}")
 
 
 def load(path) -> AtlasModel:

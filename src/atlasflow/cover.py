@@ -14,17 +14,16 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
 from .errors import CoverError, DegenerateLensError
 
 COVER_FORMAT_VERSION = 1
-# Pairs single_linkage holds at a time.  On the 3,900-point lens intervals of
-# a 7,000-point trefoil (threshold 1, ~1.1 M pairs), the whole pair list took
-# 0.20 s and 53 MB; in blocks of this many it takes 0.13 s and ~15 MB.  Smaller
-# intervals fit in one block, as the whole list did.
+# Pairs single_linkage holds at a time.  On the 3,911-point lens interval of
+# a 7,000-point trefoil (threshold 1, 1.09 M pairs), the whole pair list takes
+# 0.10 s and raises RSS by 68 MB; in blocks of this many it takes 0.03 s and
+# 6 MB (fastest of 5, one BLAS thread; 2^16 and 2^18 both take 0.05 s).
+# Smaller intervals fit in one block, as the whole list did.
 _LINKAGE_PAIRS = 1 << 17
 
 
@@ -128,20 +127,27 @@ def build_intervals(lens: np.ndarray, n_cubes: int, perc_overlap: float) -> list
     return [(edges[j] - half, edges[j + 1] + half) for j in range(n_cubes)]
 
 
-def _components(n: int, a: np.ndarray, b: np.ndarray) -> tuple[int, np.ndarray]:
-    """Connected components of the n-node graph with edges (a[i], b[i])."""
-    return connected_components(coo_matrix((np.ones(len(a), dtype=bool), (a, b)), shape=(n, n)), directed=False)
+def _join(root: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
+    """Merge the classes of each pair (a[i], b[i]) in ``root``, which maps
+    every point to the smallest point of its class.
 
-
-def _spanning_forest(n: int, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Edges with the components of :func:`_components`, at most one per
-    node: each node to one node of its component."""
-    n_components, labels = _components(n, a, b)
-    root = np.empty(n_components, dtype=np.intp)
-    root[labels] = np.arange(n)
-    to = root[labels]
-    linked = np.flatnonzero(to != np.arange(n))
-    return linked, to[linked]
+    Each pass hooks the larger of a pair's two roots to the smaller, then
+    pointer-jumps until every point maps to a root.  A root hooked by several
+    pairs in one pass keeps one of them; the pairs whose roots still differ
+    go round again.  A root only ever hooks to a smaller point, so no cycle
+    forms and each root stays its class's smallest point.
+    """
+    while a.size:
+        a, b = root[a], root[b]
+        apart = a != b
+        a, b = a[apart], b[apart]
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        root[hi] = lo
+        while True:
+            jumped = root[root]
+            if np.array_equal(jumped, root):
+                break
+            root[:] = jumped
 
 
 def single_linkage(points: np.ndarray, threshold: float) -> list[np.ndarray]:
@@ -154,9 +160,8 @@ def single_linkage(points: np.ndarray, threshold: float) -> list[np.ndarray]:
     points and those with the later points within ``threshold`` along that
     axis.  A point has no more pairs with later points than there are later
     points within ``threshold`` along the axis, so each block is cut to hold
-    at most ``_LINKAGE_PAIRS`` pairs by that count, and once more than
-    ``_LINKAGE_PAIRS`` pairs are held they are replaced by a spanning forest
-    of the graph so far.
+    at most ``_LINKAGE_PAIRS`` pairs by that count, and its pairs are merged
+    into a union-find array (:func:`_join`) before the next block is searched.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     n = points.shape[0]
@@ -171,7 +176,7 @@ def single_linkage(points: np.ndarray, threshold: float) -> list[np.ndarray]:
     limit = coord + threshold
     reach = np.searchsorted(coord, limit + 1e-9 * (threshold + np.abs(limit)), side="right")
     bound = np.cumsum(reach - np.arange(1, n + 1))
-    sources, targets, held = [], [], 0
+    root = np.arange(n)
     start = 0
     while start < n:
         before = bound[start - 1] if start else 0
@@ -179,28 +184,19 @@ def single_linkage(points: np.ndarray, threshold: float) -> list[np.ndarray]:
         end = reach[stop - 1]
         tree = cKDTree(points[start:stop])
         pairs = tree.query_pairs(r=threshold, output_type="ndarray") + start
-        sources.append(pairs[:, 0])
-        targets.append(pairs[:, 1])
-        held += len(pairs)
+        _join(root, pairs[:, 0], pairs[:, 1])
         if end > stop:
             later = tree.sparse_distance_matrix(cKDTree(points[stop:end]), threshold, output_type="ndarray")
-            sources.append(later["i"] + start)
-            targets.append(later["j"] + stop)
-            held += len(later)
-        if held > _LINKAGE_PAIRS:
-            a, b = _spanning_forest(n, np.concatenate(sources), np.concatenate(targets))
-            sources, targets, held = [a], [b], len(a)
+            _join(root, later["i"] + start, later["j"] + stop)
         start = stop
-    n_clusters, sorted_labels = _components(n, np.concatenate(sources), np.concatenate(targets))
-    labels = np.empty(n, dtype=int)
-    labels[order] = sorted_labels
-    first = np.full(n_clusters, n)
+    # name each cluster by its smallest member in the caller's order
+    labels = np.empty(n, dtype=np.intp)
+    labels[order] = root
+    first = np.full(n, n)
     np.minimum.at(first, labels, np.arange(n))
-    rank = np.empty(n_clusters, dtype=int)
-    rank[np.argsort(first)] = np.arange(n_clusters)
-    labels = rank[labels]
-    order = np.argsort(labels, kind="stable")
-    return np.split(order, np.cumsum(np.bincount(labels))[:-1])
+    labels = first[labels]
+    members = np.argsort(labels, kind="stable")
+    return np.split(members, np.flatnonzero(np.diff(labels[members])) + 1)
 
 
 def mapper_cover(points: np.ndarray, config: MapperConfig, n_latent: int = 2) -> ChartCover:

@@ -54,15 +54,23 @@ _TASK = struct.Struct("<IQ")
 # count, then one length per buffer
 _HEADER = struct.Struct("<QI")
 _LENGTH = struct.Struct("<Q")
-# glibc keeps what a process frees in its heap, and after a free of a few MB
-# it serves allocations up to that size from the heap too.  A worker lives
-# for a whole training run, and a chart's Isomap frees two m x m float arrays,
-# so the worker hands the free pages back after each job; a C library without
-# malloc_trim keeps them.
 _malloc_trim = getattr(ctypes.CDLL(None), "malloc_trim", None)
 if _malloc_trim is not None:
     _malloc_trim.argtypes = [ctypes.c_size_t]
     _malloc_trim.restype = ctypes.c_int
+
+
+def trim_heap() -> None:
+    """Hand the free pages of this process's heap back to the OS.
+
+    glibc keeps what a process frees in its heap, and after a free of a few
+    MB it serves allocations up to that size from the heap too.  A chart's
+    Isomap frees two m x m float arrays, which would otherwise stay resident
+    for the rest of a training run, in a worker or in-process.  A C library
+    without ``malloc_trim`` keeps them.
+    """
+    if _malloc_trim is not None:
+        _malloc_trim(0)
 
 
 def _blas_threads(cpus: int) -> int:
@@ -137,8 +145,7 @@ def _serve(jobs: Sequence[Callable[..., object]], tasks: int, results: int) -> N
         except EOFError:
             return
         _send(results, i, _outcome(jobs[i], pickle.loads(_read_exact(tasks, n_args))))
-        if _malloc_trim is not None:
-            _malloc_trim(0)
+        trim_heap()
 
 
 class _Worker:

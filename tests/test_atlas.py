@@ -2,14 +2,15 @@ import hashlib
 import json
 import math
 import os
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from atlasflow import atlas
+from atlasflow import atlas, pool
 from atlasflow import flow as fl
-from atlasflow.cover import ChartCover, MapperConfig
+from atlasflow.cover import ChartCover, MapperConfig, cover_to_dict
 from atlasflow.errors import CheckpointError, CoverError, DivergenceError, NumericError
 from atlasflow.synth import PointCloud
 
@@ -215,6 +216,16 @@ class TestTraining:
         atlas.save(model, path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == checkpoint_sha
         assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == rows_sha
+
+    def test_in_process_training_trims_the_heap(self, monkeypatch):
+        # after each chart's start (its Isomap) and once the states are gone
+        trims = []
+        monkeypatch.setattr(pool, "_malloc_trim", trims.append)
+        monkeypatch.setenv("ATLASFLOW_THREADS", "1")
+        make, _, _ = _PINNED_RUNS["plane-five-phases"]
+        cloud, cover, cfg = make()
+        atlas.train(cloud, cover, cfg)
+        assert trims == [0] * (cover.n_charts + 1)
 
     def test_phase4_logs_recon_at_unit_lambda(self):
         cloud = _plane_cloud(n=200, seed=3)
@@ -568,6 +579,31 @@ class TestCheckpointIO:
             for a, b in zip(flow_a.parameters(), flow_b.parameters(), strict=True):
                 assert b.dtype == np.float64 and b.flags.writeable and b.flags.c_contiguous
                 assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    def test_charts_written_one_by_one_match_one_dumps(self, tmp_path):
+        one = _perturbed_model(3, 2, seed=6)
+        phi, gamma = one.charts[0].phi, one.charts[0].gamma
+        model = atlas.AtlasModel(
+            dim=3, latent_dim=2,
+            charts=[atlas.ChartModel(k, np.array([k, k + 1]), phi, gamma, 1 / 3) for k in range(3)],
+            cover=ChartCover(n_points=4, charts=[np.array([k, k + 1]) for k in range(3)]),
+            config=one.config,
+        )
+        path = tmp_path / "ckpt.json"
+        atlas.save(model, path)
+        payload = {
+            "format_version": atlas.CHECKPOINT_FORMAT_VERSION,
+            "dim": 3,
+            "latent_dim": 2,
+            "config": asdict(model.config),
+            "cover": cover_to_dict(model.cover),
+            "charts": [
+                {"chart_id": cm.chart_id, "members": cm.members.tolist(), "c_k": cm.c_k,
+                 "phi": atlas._flow_to_dict(cm.phi), "gamma": atlas._flow_to_dict(cm.gamma)}
+                for cm in model.charts
+            ],
+        }
+        assert path.read_text() == json.dumps(payload)
 
     def test_no_decimal_float_lists(self, tmp_path):
         path = tmp_path / "ckpt.json"

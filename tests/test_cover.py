@@ -122,13 +122,52 @@ class TestSingleLinkage:
 
     @pytest.mark.parametrize("budget", [1, 40, 1 << 17])
     def test_blocks_match_union_find_oracle(self, monkeypatch, budget):
-        # a budget of 1 cuts a block per point and folds the forest after each
+        # a budget of 1 cuts a block per point
         monkeypatch.setattr(cov, "_LINKAGE_PAIRS", budget)
         rng = np.random.default_rng(6)
         clouds = [(rng.uniform(0, 3, size=(160, 2)), rng.uniform(0.1, 0.5)) for _ in range(3)]
         # a grid whose neighbours sit exactly at the threshold
         clouds.append((0.5 * rng.integers(0, 8, size=(120, 3)).astype(float), 0.5))
         for pts, thr in clouds:
+            assert [c.tolist() for c in cov.single_linkage(pts, thr)] == _brute_force_components(pts, thr)
+
+    @pytest.mark.parametrize("budget", [1, 7])
+    @pytest.mark.parametrize("bridged", [True, False])
+    def test_arms_joined_in_the_last_block(self, monkeypatch, budget, bridged):
+        # two rows along x, 3 apart, met at x = 10 by a column: sorted along
+        # x, the column's points come last, so the rows join only there
+        monkeypatch.setattr(cov, "_LINKAGE_PAIRS", budget)
+        x = np.arange(0.0, 10.0, 0.5)
+        pts = [np.column_stack([x, np.zeros_like(x)]), np.column_stack([x, np.full_like(x, 3.0)])]
+        if bridged:
+            y = np.arange(0.0, 3.5, 0.5)
+            pts.append(np.column_stack([np.full_like(y, 10.0), y]))
+        pts = np.random.default_rng(8).permutation(np.vstack(pts))
+        clusters = [c.tolist() for c in cov.single_linkage(pts, 0.6)]
+        assert clusters == _brute_force_components(pts, 0.6)
+        assert len(clusters) == (1 if bridged else 2)
+
+    @pytest.mark.parametrize("a, b, expected", [
+        # root 6 is the larger root of five pairs in one pass: one hook wins,
+        # the other pairs go round again
+        ([6, 6, 6, 6, 5], [1, 2, 3, 0, 6], [0, 0, 0, 0, 4, 0, 0]),
+        # one pass hooks 4 -> 3 -> 2 -> 1 -> 0, a chain that takes two jumps
+        ([4, 3, 2, 1], [3, 2, 1, 0], [0, 0, 0, 0, 0, 5, 6]),
+        ([], [], [0, 1, 2, 3, 4, 5, 6]),
+    ], ids=["hub", "chain", "no-pairs"])
+    def test_join(self, a, b, expected):
+        root = np.arange(7)
+        cov._join(root, np.array(a, dtype=int), np.array(b, dtype=int))
+        assert root.tolist() == expected
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("budget", [1, 7, 1 << 17])
+    def test_random_clouds_match_union_find_oracle(self, monkeypatch, dim, budget):
+        monkeypatch.setattr(cov, "_LINKAGE_PAIRS", budget)
+        rng = np.random.default_rng(10 + dim)
+        for _ in range(3):
+            pts = rng.uniform(0, 3, size=(int(rng.integers(2, 150)), dim))
+            thr = rng.uniform(0.05, 0.6) * dim
             assert [c.tolist() for c in cov.single_linkage(pts, thr)] == _brute_force_components(pts, thr)
 
     def test_memory_is_bounded_by_the_pair_budget(self, monkeypatch):

@@ -91,6 +91,17 @@ class TestRunJobs:
         with pytest.raises(RuntimeError, match="job 0: its result cannot be pickled"):
             pool.run_jobs([_unpicklable, partial(_array, 5, 0)], [1, 1], 0)
 
+    def test_workers_trim_their_heap_after_each_job(self, two_workers, monkeypatch, tmp_path):
+        log = tmp_path / "trims.txt"
+
+        def trim(pad):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+
+        monkeypatch.setattr(pool, "_malloc_trim", trim)
+        pooled = pool.run_jobs([partial(_array, 5, k) for k in range(3)], [1, 1, 1], 0)
+        assert sorted(map(int, log.read_text().split())) == sorted(pid for _, pid in pooled)
+
     def test_below_threshold_runs_in_process(self, two_workers):
         (_, pid), = pool.run_jobs([partial(_array, 5, 0)], [1], 2)
         assert pid == os.getpid()
