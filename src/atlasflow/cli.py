@@ -222,10 +222,10 @@ def cmd_sample(args) -> int:
 def cmd_density(args) -> int:
     cloud = synth.load_csv(args.data)
     reference = synth.load_csv(args.reference) if args.reference else cloud
-    kde = synth.kde_density(reference, cloud.points, bandwidth=args.bandwidth)
-    cols: dict[str, np.ndarray] = {"kde": kde}
-    if args.checkpoint:
-        model = atlas.load(args.checkpoint)
+    # a bad checkpoint fails before the KDE is spent
+    model = atlas.load(args.checkpoint) if args.checkpoint else None
+    cols: dict[str, np.ndarray] = {"kde": synth.kde_density(reference, cloud.points, bandwidth=args.bandwidth)}
+    if model is not None:
         cols["log_density"] = atlas.log_density(model, cloud.points)
     header = [f"x{i}" for i in range(cloud.dim)] + list(cols)
     synth.write_table(args.output, header, np.column_stack([cloud.points, *cols.values()]))

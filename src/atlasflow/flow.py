@@ -18,6 +18,16 @@ accept single vectors.  One layer pass serves both directions: the
 ``inverse`` flag picks the spline's inverse, the rest of the layer is shared.
 The two VJPs stay separate because their algebra differs.
 
+Spline parameters are laid out bins-major, ``(K, rows, m)`` for a layer that
+transforms m coordinates with K bins, so that every per-bin step (softmax
+max and sum, knot cumsum, bin search, knot gathers, gradient masks and
+scatter) is a whole-array operation across the batch rather than a
+reduction along a short last axis.  The layout moves no result bit: the
+work per element is the same, a cumsum and a max are order-exact, and the
+two bin sums go through ``pairwise_sum``, which adds the K bin arrays in the
+order ``np.sum`` adds a length-K last axis.  An unconditional layer
+normalizes its one block of parameters once and broadcasts it over the rows.
+
 A VJP reads the spline and MLP caches of every layer of the pass it follows.
 ``stack_forward_cached``/``stack_inverse_cached`` keep them by default and
 return one per layer; that is the training path.  ``stack_forward`` and
@@ -33,6 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -54,77 +65,102 @@ GRAM_FD_STEP = 1e-5
 RAW_CAP = 4.0
 
 
+def pairwise_sum(a: np.ndarray) -> np.ndarray:
+    """Sum over the leading axis of ``a`` in the order ``np.sum`` adds a
+    contiguous last axis of the same length n: 0.0 plus a pairwise sum that
+    adds fewer than 8 items one by one, up to 128 items in 8 interleaved
+    partial sums, and more in two halves.  So the result equals
+    ``np.moveaxis(a, 0, -1).sum(axis=-1)`` bit for bit."""
+    return 0.0 + _pairwise(a)
+
+
+def _pairwise(a):
+    n = len(a)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise(a[:half]) + _pairwise(a[half:])
+    if n < 8:
+        return reduce(np.add, a)
+    r = a[:8]
+    for i in range(8, n - n % 8, 8):
+        r = r + a[i : i + 8]
+    r = r[0::2] + r[1::2]  # r0+r1, r2+r3, r4+r5, r6+r7
+    r = r[0::2] + r[1::2]  # (r0+r1)+(r2+r3), (r4+r5)+(r6+r7)
+    return reduce(np.add, a[n - n % 8 :], r[0] + r[1])
+
+
 def _softmax(u: np.ndarray) -> np.ndarray:
-    z = u - u.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = np.exp(u - u.max(axis=0))
+    return e / pairwise_sum(e)
 
 
 def _normalize_spline(uw, uh, ud, bound):
-    """Raw parameters -> bin widths/heights, knot edges, knot derivatives.
+    """Raw parameters -> bin fractions, bin widths/heights, knot edges, knot
+    derivatives, all bins-major: (K or K+1, rows, m).
 
     Bin fractions are a softmax with a small floor and the K-1 interior knot
     derivatives a shifted softplus, so zero raw parameters give the identity;
     the boundary derivatives are pinned to 1 so the map is C^1 at the bound.
     """
-    k = uw.shape[-1]
+    k = uw.shape[0]
     scale = 2.0 * bound * (1.0 - MIN_BIN_FRACTION * k)
     pw = _softmax(uw)
     ph = _softmax(uh)
     w = 2.0 * bound * MIN_BIN_FRACTION + scale * pw
     h = 2.0 * bound * MIN_BIN_FRACTION + scale * ph
-    ew = np.empty(uw.shape[:-1] + (k + 1,))
+    ew = np.empty((k + 1,) + uw.shape[1:])
     eh = np.empty(ew.shape)
     for edges, widths in ((ew, w), (eh, h)):
-        np.cumsum(widths, axis=-1, out=edges[..., 1:])
-        edges[..., 1:] -= bound
-        edges[..., 0] = -bound
-        edges[..., -1] = bound
-    u = ud + _DERIV_OFFSET
-    sig = 1.0 / (1.0 + np.exp(-u))
+        # np.cumsum's running sum, one bin at a time
+        edges[1] = widths[0]
+        for j in range(1, k):
+            np.add(edges[j], widths[j], out=edges[j + 1])
+        edges[1:] -= bound
+        edges[0] = -bound
+        edges[-1] = bound
     d = np.ones(ew.shape)
-    d[..., 1:-1] = (MIN_DERIVATIVE + np.logaddexp(0.0, u)) / _DERIV_NORM
-    return pw, ph, w, h, ew, eh, d, sig
+    d[1:-1] = (MIN_DERIVATIVE + np.logaddexp(0.0, ud + _DERIV_OFFSET)) / _DERIV_NORM
+    return pw, ph, w, h, ew, eh, d
 
 
 def _bin_eval(xi, s, coef, dk, dk1, hk, yk):
-    """In-bin value, derivative, and intermediates at normalized position xi."""
+    """In-bin value and intermediates at normalized position xi."""
     a = xi * (1.0 - xi)
     dd = s + coef * a
     nsum = s * xi * xi + dk * a
     bigN = hk * nsum
     y = yk + bigN / dd
     p = dk1 * xi * xi + 2.0 * s * a + dk * (1.0 - xi) ** 2
-    r = s * s * p / (dd * dd)
-    return y, r, a, dd, nsum, bigN, p
+    return y, a, dd, nsum, bigN, p
+
+
+def _slope(s, p, dd):
+    """In-bin derivative f'(x) from _bin_eval's intermediates."""
+    return s * s * p / (dd * dd)
 
 
 def _spline_apply(uw, uh, ud, bound, t, inverse=False):
-    """Evaluate the spline (or its inverse) on a flat element array ``t``.
+    """Evaluate the spline (or its inverse) on a (rows, m) element array ``t``.
 
-    Returns (out, dlogdet, cache).  dlogdet is log f'(x) for the forward map
-    and -log f'(x) at the preimage for the inverse.
+    The raw blocks are bins-major, (K or K-1, rows, m); a block with one row
+    serves every row of ``t``.  Returns (out, dlogdet, cache).  dlogdet is
+    log f'(x) for the forward map and -log f'(x) at the preimage for the
+    inverse.
     """
-    pw, ph, w, h, ew, eh, d, sig = _normalize_spline(uw, uh, ud, bound)
-    k = uw.shape[-1]
+    pw, ph, w, h, ew, eh, d = _normalize_spline(uw, uh, ud, bound)
     inside = np.abs(t) <= bound
     tc = np.clip(t, -bound, bound)
-    if inverse:
-        binno = (tc[..., None] >= eh[..., 1:-1]).sum(axis=-1)
-    else:
-        binno = (tc[..., None] >= ew[..., 1:-1]).sum(axis=-1)
-    # flat positions of each element's bin in the (..., K+1) edge/derivative
-    # arrays and in the (..., K) width/height arrays
-    row = np.arange(binno.size)
-    bin_flat = binno.reshape(-1)
-    at_edge = row * (k + 1) + bin_flat
-    at_bin = row * k + bin_flat
-    xk = ew.reshape(-1)[at_edge].reshape(binno.shape)
-    yk = eh.reshape(-1)[at_edge].reshape(binno.shape)
-    dk = d.reshape(-1)[at_edge].reshape(binno.shape)
-    dk1 = d.reshape(-1)[at_edge + 1].reshape(binno.shape)
-    wk = w.reshape(-1)[at_bin].reshape(binno.shape)
-    hk = h.reshape(-1)[at_bin].reshape(binno.shape)
+    binno = (tc >= (eh if inverse else ew)[1:-1]).sum(axis=0, dtype=np.intp)
+    # flat position of each element's bin in the (K+1, r, m) edge/derivative
+    # arrays and the (K, r, m) width/height arrays (one bin spans r * m floats)
+    span = ew[0].size
+    at = binno * span + np.arange(span).reshape(ew.shape[1:])
+    xk = ew.reshape(-1)[at]
+    yk = eh.reshape(-1)[at]
+    dk = d.reshape(-1)[at]
+    dk1 = d.reshape(-1)[at + span]
+    wk = w.reshape(-1)[at]
+    hk = h.reshape(-1)[at]
     s = hk / wk
     coef_num = dk1 + dk - 2.0 * s
     if inverse:
@@ -138,11 +174,11 @@ def _spline_apply(uw, uh, ud, bound, t, inverse=False):
         # Newton polish: the closed form loses digits in very flat or very
         # steep bins, which matters once layers are composed.
         for _ in range(2):
-            y_cur, r_cur, *_ = _bin_eval(xi, s, coef_num, dk, dk1, hk, yk)
-            xi = np.clip(xi - (y_cur - tc) / (r_cur * wk), 0.0, 1.0)
+            y_cur, _, dd_cur, _, _, p_cur = _bin_eval(xi, s, coef_num, dk, dk1, hk, yk)
+            xi = np.clip(xi - (y_cur - tc) / (_slope(s, p_cur, dd_cur) * wk), 0.0, 1.0)
     else:
         xi = (tc - xk) / wk
-    y, r, a, dd, nsum, bigN, p = _bin_eval(xi, s, coef_num, dk, dk1, hk, yk)
+    y, a, dd, nsum, bigN, p = _bin_eval(xi, s, coef_num, dk, dk1, hk, yk)
     logr = 2.0 * np.log(s) + np.log(p) - 2.0 * np.log(dd)
     if inverse:
         out = np.where(inside, xk + xi * wk, t)
@@ -152,25 +188,24 @@ def _spline_apply(uw, uh, ud, bound, t, inverse=False):
         dlogdet = np.where(inside, logr, 0.0)
     cache = {
         "uw": uw, "uh": uh, "ud": ud, "bound": bound,
-        "pw": pw, "ph": ph, "sig": sig,
+        "pw": pw, "ph": ph,
         "inside": inside, "bin": binno,
         "xi": xi, "s": s, "a": a, "coef": coef_num,
         "dd": dd, "nsum": nsum, "bigN": bigN, "p": p,
         "wk": wk, "hk": hk, "dk": dk, "dk1": dk1,
-        "r": r,
     }
     return out, dlogdet, cache
 
 
 def _core_backward(cache, gy, gl):
     """Partials of (y, log f'(x)) w.r.t. x and the normalized parameter
-    blocks, scattered back to the raw parameter arrays."""
+    blocks, scattered back to bins-major (K or K+1, rows, m) arrays."""
     xi, s, a = cache["xi"], cache["s"], cache["a"]
     dd, nsum, bigN, p = cache["dd"], cache["nsum"], cache["bigN"], cache["p"]
     wk, hk, dk, dk1 = cache["wk"], cache["hk"], cache["dk"], cache["dk1"]
     coef = cache["coef"]
     binno = cache["bin"]
-    k = cache["uw"].shape[-1]
+    k = cache["uw"].shape[0]
 
     g_n = gy / dd
     g_dd = -gy * bigN / (dd * dd) - 2.0 * gl / dd
@@ -189,28 +224,29 @@ def _core_backward(cache, gy, gl):
     g_xk = -g_xi / wk
     g_x = g_xi / wk
 
-    idx = np.arange(k)
-    before = idx < binno[..., None]  # contributes through the left edge
-    at = idx == binno[..., None]
-    g_w = g_xk[..., None] * before + g_wk[..., None] * at
-    g_h = g_yk[..., None] * before + g_hk[..., None] * at
-    g_d = np.zeros(binno.shape + (k + 1,))
-    at_edge = np.arange(binno.size) * (k + 1) + binno.reshape(-1)
+    idx = np.arange(k).reshape(k, 1, 1)
+    before = idx < binno  # contributes through the left edge
+    at = idx == binno
+    g_w = g_xk * before + g_wk * at
+    g_h = g_yk * before + g_hk * at
+    g_d = np.zeros((k + 1,) + binno.shape)
+    at_edge = binno.reshape(-1) * binno.size + np.arange(binno.size)
     g_d.reshape(-1)[at_edge] += g_dk.reshape(-1)
-    g_d.reshape(-1)[at_edge + 1] += g_dk1.reshape(-1)
+    g_d.reshape(-1)[at_edge + binno.size] += g_dk1.reshape(-1)
     return g_x, g_w, g_h, g_d
 
 
 def _raw_gradients(cache, g_w, g_h, g_d):
     """Chain normalized-parameter gradients through softmax / softplus."""
-    k = cache["uw"].shape[-1]
+    k = cache["uw"].shape[0]
     scale = 2.0 * cache["bound"] * (1.0 - MIN_BIN_FRACTION * k)
-    pw, ph, sig = cache["pw"], cache["ph"], cache["sig"]
+    pw, ph = cache["pw"], cache["ph"]
+    sig = 1.0 / (1.0 + np.exp(-(cache["ud"] + _DERIV_OFFSET)))
     gw = scale * g_w
     gh = scale * g_h
-    g_uw = pw * (gw - (gw * pw).sum(axis=-1, keepdims=True))
-    g_uh = ph * (gh - (gh * ph).sum(axis=-1, keepdims=True))
-    g_ud = g_d[..., 1:-1] * sig / _DERIV_NORM
+    g_uw = pw * (gw - pairwise_sum(gw * pw))
+    g_uh = ph * (gh - pairwise_sum(gh * ph))
+    g_ud = g_d[1:-1] * sig / _DERIV_NORM
     return g_uw, g_uh, g_ud
 
 
@@ -221,21 +257,19 @@ def _spline_vjp(cache, gy, gl):
     gl_in = np.where(inside, gl, 0.0)
     g_x, g_w, g_h, g_d = _core_backward(cache, gy_in, gl_in)
     g_x = np.where(inside, g_x, gy)
-    keep = inside[..., None]
-    g_uw, g_uh, g_ud = _raw_gradients(cache, g_w * keep, g_h * keep, g_d * keep)
+    g_uw, g_uh, g_ud = _raw_gradients(cache, g_w * inside, g_h * inside, g_d * inside)
     return g_x, g_uw, g_uh, g_ud
 
 
 def _spline_inverse_vjp(cache, gx):
     """VJP of the inverse map via the implicit function theorem."""
     inside = cache["inside"]
-    r = cache["r"]
+    r = _slope(cache["s"], cache["p"], cache["dd"])
     gx_in = np.where(inside, gx, 0.0)
     g_y = np.where(inside, gx / r, gx)
     # dx/dtheta = -f_theta(x)/f'(x): reuse the forward partials at the preimage
     _, g_w, g_h, g_d = _core_backward(cache, -gx_in / r, np.zeros_like(gx_in))
-    keep = inside[..., None]
-    g_uw, g_uh, g_ud = _raw_gradients(cache, g_w * keep, g_h * keep, g_d * keep)
+    g_uw, g_uh, g_ud = _raw_gradients(cache, g_w * inside, g_h * inside, g_d * inside)
     return g_y, g_uw, g_uh, g_ud
 
 
@@ -301,20 +335,19 @@ def _soft_cap_grad(capped: np.ndarray) -> np.ndarray:
 
 
 def _layer_raw(layer: CouplingLayer, x_id: np.ndarray):
-    """Soft-capped raw spline parameter blocks (b, m, K / K / K-1) plus the
-    conditioner's cache: its MLP cache and the capped output ``theta``, of
-    which the three blocks are views (None for an unconditional layer)."""
+    """Soft-capped raw spline parameter blocks, bins-major (K / K / K-1,
+    rows, m), plus the conditioner's cache: its MLP cache and the capped
+    output ``theta``, of which the three blocks are views (None for an
+    unconditional layer, whose blocks have one row that serves every row)."""
+    if layer.conditioner is None:
+        uw, uh, ud = (_soft_cap(a.T[:, None, :]) for a in layer.raw)
+        return uw, uh, ud, None
     b = x_id.shape[0]
     m = layer.tr_idx.size
     k = layer.n_bins
-    if layer.conditioner is None:
-        uw = np.broadcast_to(layer.raw[0], (b, m, k))
-        uh = np.broadcast_to(layer.raw[1], (b, m, k))
-        ud = np.broadcast_to(layer.raw[2], (b, m, k - 1))
-        return _soft_cap(uw), _soft_cap(uh), _soft_cap(ud), None
     out, mlp_cache = mlp_forward_cached(layer.conditioner, x_id / layer.bound)
-    theta = _soft_cap(out.reshape(b, m, 3 * k - 1))
-    return theta[..., :k], theta[..., k : 2 * k], theta[..., 2 * k :], (mlp_cache, theta)
+    theta = _soft_cap(np.ascontiguousarray(out.reshape(b, m, 3 * k - 1).transpose(2, 0, 1)))
+    return theta[:k], theta[k : 2 * k], theta[2 * k :], (mlp_cache, theta)
 
 
 def _coupling_pass(layer: CouplingLayer, x: np.ndarray, inverse: bool):
@@ -355,15 +388,19 @@ def _assemble_param_grads(layer, cache, g_uw, g_uh, g_ud, g_full):
     cond_cache, sp_cache = cache
     # chain through the soft cap on the raw parameters
     if layer.conditioner is None:
+        # summed over rows in row order, from a (rows, m, K) copy
         grads = [
-            (g * _soft_cap_grad(sp_cache[key])).sum(axis=0)
+            (g * _soft_cap_grad(sp_cache[key])).transpose(1, 2, 0).copy().sum(axis=0)
             for g, key in ((g_uw, "uw"), (g_uh, "uh"), (g_ud, "ud"))
         ]
         return grads, g_full
     mlp_cache, theta = cond_cache
-    theta_cot = np.concatenate([g_uw, g_uh, g_ud], axis=-1)
+    theta_cot = np.concatenate([g_uw, g_uh, g_ud])
     theta_cot *= _soft_cap_grad(theta)
-    grads, g_in = mlp_vjp_cached(layer.conditioner, mlp_cache, theta_cot.reshape(theta.shape[0], -1))
+    # back to the MLP's C-ordered (rows, m * (3K-1)): its bias gradient sums
+    # over rows, and that sum's order follows the memory layout
+    theta_cot = np.ascontiguousarray(theta_cot.transpose(1, 2, 0)).reshape(theta.shape[1], -1)
+    grads, g_in = mlp_vjp_cached(layer.conditioner, mlp_cache, theta_cot)
     g_full[:, layer.id_idx] += g_in / layer.bound
     return grads, g_full
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DataError
+from .flow import pairwise_sum
 
 TWO_PI = 2.0 * math.pi
 
@@ -226,16 +227,21 @@ def kde_density(
         raise ValueError("bandwidth must be positive")
     log_norm = -0.5 * d * math.log(TWO_PI) - np.log(h).sum()
     out = np.empty(queries.shape[0])
-    # chunks of about 2**18 floats per (chunk, N, d) temporary; each query
-    # row is computed on its own, so the chunk size does not change the result
-    step = max(1, 2**18 // (n * d))
+    cols = ref.T.copy()[:, None, :]
+    # chunks of about 2**16 floats of (d, chunk, N) per-axis differences, so
+    # the temporaries stay in L2; each query row is computed on its own, so
+    # the chunk size does not change the result
+    step = max(1, 2**16 // (n * d))
     for lo in range(0, queries.shape[0], step):
-        q = queries[lo : lo + step]
-        z = (q[:, None, :] - ref[None, :, :]) / h
-        logk = log_norm - 0.5 * (z * z).sum(axis=2)
+        z = queries[lo : lo + step].T[:, :, None] - cols
+        z /= h[:, None, None]
+        # squares summed over the axes in the order np.sum adds a last axis
+        logk = pairwise_sum(np.multiply(z, z, out=z))
+        np.subtract(log_norm, np.multiply(logk, 0.5, out=logk), out=logk)
         # mean over kernels, computed in log space for far-field stability
         m = logk.max(axis=1)
-        out[lo : lo + step] = np.exp(m) * np.exp(logk - m[:, None]).sum(axis=1) / n
+        logk -= m[:, None]
+        out[lo : lo + step] = np.exp(m) * np.exp(logk, out=logk).sum(axis=1) / n
     return out
 
 

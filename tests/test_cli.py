@@ -614,6 +614,17 @@ class TestDensityCommand:
         assert rc == 0
         assert "log_density" not in _read_rows(out)[0]
 
+    def test_bad_checkpoint_exits_before_kde(self, torus_csv, tmp_path, capsys, monkeypatch):
+        def kde_density(*args, **kwargs):
+            raise AssertionError("the KDE ran before the checkpoint was read")
+
+        monkeypatch.setattr(synth, "kde_density", kde_density)
+        bad = tmp_path / "model.json"
+        bad.write_text("{broken")
+        rc = _run(["density", "--data", str(torus_csv), "--checkpoint", str(bad), "-o", str(tmp_path / "d.csv")])
+        assert rc == 5
+        assert str(bad) in capsys.readouterr().err
+
 
 class TestEvalBoundaryCommand:
     def test_identical_checkpoints_identical_columns(self, tiny_checkpoint, torus_csv, cover_json, tmp_path):

@@ -241,6 +241,25 @@ class TestCacheFreePasses:
             val_out, val_ld = values(f, x)
             assert out.tobytes() == val_out.tobytes() and ld.tobytes() == val_ld.tobytes()
 
+    def test_value_passes_go_through_cached_loops(self, monkeypatch):
+        # the benchmark's tracer reads flow.stack_*_cached.rows and self
+        # times, which cover the value passes only while they call these
+        calls = []
+        for name in ("stack_forward_cached", "stack_inverse_cached"):
+            def counted(f, x, *args, _name=name, _run=getattr(fl, name), **kwargs):
+                calls.append((_name, x.shape[0], kwargs.get("keep_caches")))
+                return _run(f, x, *args, **kwargs)
+            monkeypatch.setattr(fl, name, counted)
+        f = _perturbed(fl.make_flow(3, 2, np.random.default_rng(21)), 0.1, 22)
+        x = np.random.default_rng(23).normal(size=(7, 3))
+        fl.stack_forward(f, x)
+        fl.stack_inverse(f, x)
+        fl.reconstruct(f, 2, x)
+        fl.embed_latent(f, x[:, :2])
+        assert calls == [("stack_forward_cached", 7, False), ("stack_inverse_cached", 7, False),
+                         ("stack_forward_cached", 7, False), ("stack_inverse_cached", 7, False),
+                         ("stack_inverse_cached", 7, False)]
+
     def test_inverse_peak_memory(self):
         f = _perturbed(fl.make_flow(3, 13, np.random.default_rng(18)), 0.12, 19)
         z = np.random.default_rng(20).normal(size=(4096, 3))
